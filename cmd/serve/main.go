@@ -196,6 +196,12 @@ func main() {
 			ms.SessionResumed, ms.WALReplayed, ms.LastReplayMs, ms.LastRefreshKind)
 	}
 
+	// The handler goes in before the socket opens: a client may signal as
+	// soon as it reads the address below, and a SIGTERM that arrived before
+	// Notify would kill the process through the default action, skipping
+	// the graceful shutdown.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatalf("listen %s: %v", *addr, err)
@@ -206,8 +212,6 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case got := <-sig:
 		fmt.Printf("serve: %v, shutting down\n", got)

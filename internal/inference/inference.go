@@ -39,8 +39,9 @@ type Options struct {
 	// cross-worker bytes. Composes with all three skew strategies, with one
 	// scope note: under PartialGather the sender-side combiner folds
 	// partial sums per sending worker, so cross-placement agreement is
-	// tolerance-level there (like cross-backend agreement), not bitwise;
-	// every fixed configuration remains deterministic and plane-identical.
+	// tolerance-level there (and so is cross-backend agreement, which is
+	// bitwise everywhere else), not bitwise; every fixed configuration
+	// remains deterministic and plane-identical.
 	Partitioner graph.Strategy
 	// PartialGather enables sender-side aggregation for layers whose reduce
 	// obeys the commutative/associative laws.
@@ -152,7 +153,10 @@ type Options struct {
 	// ShadowNodes (mirrors resolve through their origin). MapReduce rejects
 	// this.
 	OutDegrees []int32
-	// SpillDir routes MapReduce shuffles through disk when non-empty.
+	// SpillDir routes MapReduce shuffles through disk when non-empty: each
+	// reducer's round input is written to a checksummed columnar file in
+	// the directory, read back and removed, and its received-byte counters
+	// become the files' sizes.
 	SpillDir string
 	// EmitEmbeddings additionally returns each node's penultimate-layer
 	// state (the paper's final superstep "outputs node embeddings or
@@ -270,23 +274,18 @@ func (o Options) partition(g *graph.Graph) graph.Partitioner {
 	return s.Partition(g, o.NumWorkers)
 }
 
-// vectorizeAggregate reduces n resolved payload vectors into a single
+// vectorizeAggregateInto reduces n resolved payload vectors into a single
 // destination's gas.Aggregated per the layer's reduce annotation — the
-// shared vectorization step of both backends (Pregel's gatherStage and
-// MapReduce's aggregate). payload(i) returns the i-th incoming state vector
-// (always exactly dim long by construction: scatter builds payloads at the
-// layer dim and the combiners preserve length) and its folded contribution
-// count. Buffers come from pool; callers release them with
-// releaseAggregated once apply_node has consumed the aggregate.
-func vectorizeAggregate(kind gas.ReduceKind, dim, n int, payload func(i int) ([]float32, int32), pool *tensor.Pool) *gas.Aggregated {
-	return vectorizeAggregateInto(&gas.Aggregated{}, kind, dim, n, payload, pool)
-}
-
-// vectorizeAggregateInto is vectorizeAggregate filling a caller-owned
-// aggregate, so per-vertex hot loops can reuse one scratch Aggregated (and
-// its Counts/Dst backing arrays) per worker instead of allocating one per
-// vertex per layer. The scratch must not be reused until apply_node has
-// consumed the previous aggregate and releaseAggregated has run.
+// per-vertex gather of the Pregel backend's per-vertex and boxed planes.
+// payload(i) returns the i-th incoming state vector (always exactly dim
+// long by construction: scatter builds payloads at the layer dim and the
+// combiners preserve length) and its folded contribution count. It fills
+// the caller-owned aggregate a, so per-vertex hot loops can reuse one
+// scratch Aggregated (and its Counts/Dst backing arrays) per worker
+// instead of allocating one per vertex per layer; the scratch must not be
+// reused until apply_node has consumed the previous aggregate. Buffers
+// come from pool; callers release them with releaseAggregated once
+// apply_node has consumed the aggregate.
 func vectorizeAggregateInto(a *gas.Aggregated, kind gas.ReduceKind, dim, n int, payload func(i int) ([]float32, int32), pool *tensor.Pool) *gas.Aggregated {
 	a.Kind = kind
 	a.Pooled, a.Messages = nil, nil
@@ -346,6 +345,75 @@ func vectorizeAggregateInto(a *gas.Aggregated, kind gas.ReduceKind, dim, n int, 
 				}
 			}
 		}
+		a.Pooled = pooled
+	}
+	return a
+}
+
+// aggregateCSR is the fused whole-partition gather shared by the batched
+// Pregel plane and the MapReduce reducers: local row li's incoming payload
+// views are pays[off[li]:off[li+1]] (counts alongside), already in delivery
+// order, and are reduced per the layer's annotation into a len(off)-1 x dim
+// aggregate filled into the caller's scratch a. Sum/Mean and Max/Min run the
+// CSR segment-reduce kernels over the views in place — no payload is copied;
+// Union (GAT) copies them into one flat message matrix with local
+// destinations. Each row folds its views in ascending order, exactly the
+// order the per-vertex vectorizeAggregateInto folds, so results are
+// bit-identical to it. Buffers come from pool; release them with
+// releaseAggregated.
+func aggregateCSR(a *gas.Aggregated, kind gas.ReduceKind, dim int, off []int32, pays [][]float32, counts []int32, pool *tensor.Pool) *gas.Aggregated {
+	n, nLocal := len(pays), len(off)-1
+	a.Kind = kind
+	a.Pooled, a.Messages = nil, nil
+	a.Counts, a.Dst = a.Counts[:0], a.Dst[:0]
+	switch kind {
+	case gas.ReduceUnion:
+		// Union (GAT): one flat message matrix for the whole partition,
+		// destinations in local indices — the partition-local form of the
+		// reference forward's edge-message matrix.
+		mm := pool.GetNoZero(n, dim)
+		for i, p := range pays {
+			copy(mm.Row(i), p)
+		}
+		a.Messages = mm
+		if cap(a.Dst) < n {
+			a.Dst = make([]int32, n)
+		} else {
+			a.Dst = a.Dst[:n]
+		}
+		for li := 0; li < nLocal; li++ {
+			for i := off[li]; i < off[li+1]; i++ {
+				a.Dst[i] = int32(li)
+			}
+		}
+	case gas.ReduceSum, gas.ReduceMean:
+		pooled := pool.GetNoZero(nLocal, dim)
+		tensor.SegmentSumViewsInto(pooled, off, pays)
+		if cap(a.Counts) < nLocal {
+			a.Counts = make([]int32, nLocal)
+		} else {
+			a.Counts = a.Counts[:nLocal]
+		}
+		for li := 0; li < nLocal; li++ {
+			var c int32
+			for i := off[li]; i < off[li+1]; i++ {
+				c += counts[i]
+			}
+			a.Counts[li] = c
+			if kind == gas.ReduceMean && c > 0 {
+				// Same op order as the per-vertex fold: multiply by the
+				// reciprocal, never divide.
+				inv := 1 / float32(c)
+				row := pooled.Row(li)
+				for j := range row {
+					row[j] *= inv
+				}
+			}
+		}
+		a.Pooled = pooled
+	case gas.ReduceMax, gas.ReduceMin:
+		pooled := pool.GetNoZero(nLocal, dim)
+		tensor.SegmentExtremeViewsInto(pooled, off, pays, kind == gas.ReduceMax)
 		a.Pooled = pooled
 	}
 	return a

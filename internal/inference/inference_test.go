@@ -6,6 +6,7 @@ import (
 	"inferturbo/internal/datagen"
 	"inferturbo/internal/gas"
 	"inferturbo/internal/graph"
+	"inferturbo/internal/mapreduce"
 	"inferturbo/internal/tensor"
 )
 
@@ -96,7 +97,7 @@ func TestBackendsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Logits.AllClose(b.Logits, logitTol) {
+	if !a.Logits.Equal(b.Logits) {
 		t.Fatalf("backends diverge: %v", a.Logits.MaxAbsDiff(b.Logits))
 	}
 }
@@ -465,35 +466,32 @@ func TestCombineMsgsSemantics(t *testing.T) {
 }
 
 func TestMRCombineSemantics(t *testing.T) {
-	vals := []mrVal{
-		{Kind: mrSelf, Payload: []float32{9}},
-		{Kind: mrMsg, Reduce: uint8(gas.ReduceSum), Count: 1, Payload: []float32{1}},
-		{Kind: mrMsg, Reduce: uint8(gas.ReduceSum), Count: 1, Payload: []float32{2}},
-		{Kind: mrOutEdges, OutDsts: []int32{1}},
+	// One producer, one reducer, one key: state and out-edge records pass
+	// through, the two sum messages fold into the first one's row.
+	ext := &mapreduce.Extent{}
+	p := mapreduce.NewProducer([]*mapreduce.Extent{ext}, []int32{0}, mrRecordBytes)
+	p.Combine = foldFunc(gas.ReduceSum)
+	p.Begin()
+	p.Emit(0, mrSelf, 0, 0, []float32{9}, nil)
+	p.Send(0, mrMsg, 1, 1, []float32{1})
+	p.Send(0, mrMsg, 2, 1, []float32{2})
+	p.Emit(0, mrOutEdges, 0, 1, nil, []int32{1})
+	if ext.Len() != 3 || p.CombinedAway != 1 || p.Records != 4 {
+		t.Fatalf("combined to %d rows (%d away, %d emitted), want 3 (1, 4)", ext.Len(), p.CombinedAway, p.Records)
 	}
-	out := mrCombine(0, vals)
-	if len(out) != 3 {
-		t.Fatalf("combined to %d records, want 3", len(out))
+	if ext.Kinds[1] != mrMsg || ext.RowFloats(1)[0] != 3 || ext.Counts[1] != 2 || ext.Srcs[1] != 1 {
+		t.Fatalf("merged msg = kind %d value %v count %d src %d", ext.Kinds[1], ext.RowFloats(1), ext.Counts[1], ext.Srcs[1])
 	}
-	var found bool
-	for _, v := range out {
-		if v.Kind == mrMsg {
-			if v.Payload[0] != 3 || v.Count != 2 {
-				t.Fatalf("merged msg = %+v", v)
-			}
-			found = true
-		}
+	// Union messages have no fold, so they pass through unmerged.
+	if foldFunc(gas.ReduceUnion) != nil {
+		t.Fatal("union must not combine")
 	}
-	if !found {
-		t.Fatal("merged message missing")
-	}
-	// Union messages must pass through unmerged.
-	union := []mrVal{
-		{Kind: mrMsg, Reduce: uint8(gas.ReduceUnion), Payload: []float32{1}},
-		{Kind: mrMsg, Reduce: uint8(gas.ReduceUnion), Payload: []float32{2}},
-	}
-	if got := mrCombine(0, union); len(got) != 2 {
-		t.Fatalf("union combined to %d records", len(got))
+	p.Combine = nil
+	p.Begin()
+	p.Send(0, mrMsg, 1, 1, []float32{1})
+	p.Send(0, mrMsg, 2, 1, []float32{2})
+	if ext.Len() != 2 || p.CombinedAway != 0 {
+		t.Fatalf("union combined to %d rows", ext.Len())
 	}
 }
 

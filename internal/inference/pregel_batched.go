@@ -140,63 +140,7 @@ func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], l
 		}
 	}
 
-	nLocal := len(ctx.Owned())
-	dim := layer.InDim()
-	a := &d.aggrs[w]
-	a.Kind = layer.Reduce()
-	a.Pooled, a.Messages = nil, nil
-	a.Counts, a.Dst = a.Counts[:0], a.Dst[:0]
-	switch kind := layer.Reduce(); kind {
-	case gas.ReduceUnion:
-		// Union (GAT): one flat message matrix for the whole partition,
-		// destinations in local indices — the partition-local form of the
-		// reference forward's edge-message matrix.
-		mm := pool.GetNoZero(n, dim)
-		for i, p := range pays {
-			copy(mm.Row(i), p)
-		}
-		a.Messages = mm
-		if cap(a.Dst) < n {
-			a.Dst = make([]int32, n)
-		} else {
-			a.Dst = a.Dst[:n]
-		}
-		for li := 0; li < nLocal; li++ {
-			for i := off[li]; i < off[li+1]; i++ {
-				a.Dst[i] = int32(li)
-			}
-		}
-	case gas.ReduceSum, gas.ReduceMean:
-		pooled := pool.GetNoZero(nLocal, dim)
-		tensor.SegmentSumViewsInto(pooled, off, pays)
-		if cap(a.Counts) < nLocal {
-			a.Counts = make([]int32, nLocal)
-		} else {
-			a.Counts = a.Counts[:nLocal]
-		}
-		for li := 0; li < nLocal; li++ {
-			var c int32
-			for i := off[li]; i < off[li+1]; i++ {
-				c += counts[i]
-			}
-			a.Counts[li] = c
-			if kind == gas.ReduceMean && c > 0 {
-				// Same op order as the per-vertex fold: multiply by the
-				// reciprocal, never divide.
-				inv := 1 / float32(c)
-				row := pooled.Row(li)
-				for j := range row {
-					row[j] *= inv
-				}
-			}
-		}
-		a.Pooled = pooled
-	case gas.ReduceMax, gas.ReduceMin:
-		pooled := pool.GetNoZero(nLocal, dim)
-		tensor.SegmentExtremeViewsInto(pooled, off, pays, kind == gas.ReduceMax)
-		a.Pooled = pooled
-	}
-	return a
+	return aggregateCSR(&d.aggrs[w], layer.Reduce(), layer.InDim(), off, pays, counts, pool)
 }
 
 // scatterBatch walks the partition's slab rows in owned-vertex order through

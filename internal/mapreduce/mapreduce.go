@@ -1,310 +1,246 @@
-// Package mapreduce implements a batch-processing engine in the MapReduce
-// mold: rounds of map → combine → shuffle → reduce over key/value pairs,
-// with deterministic grouping, optional sender-side combining (the hook the
-// paper's partial-gather uses on this backend), optional disk-spilled
-// shuffles (the "messages are exchanged with external storage" property that
-// lets the backend scale past memory), and per-task IO accounting that feeds
-// the cluster cost model.
+// Package mapreduce is the columnar shuffle of InferTurbo's MapReduce
+// backend: rounds of map → combine → shuffle → reduce over records keyed by
+// int32 vertex ids and carrying float32 rows (plus an optional int32 row,
+// the out-edge lists the backend ships with every node each round).
 //
-// InferTurbo's second backend chains k+1 rounds of this engine to execute a
-// k-layer GNN; wordcount in the tests validates the engine itself.
+// Records never exist as objects. Each producer task appends the rows it
+// addresses to reducer r into one Extent — parallel key/kind/src/count
+// columns plus flat float and int arenas — so the shuffle moves bytes, not
+// allocations:
+//
+//   - Fan-out. A payload sent to many keys on one reducer is copied into
+//     that reducer's extent once; every further row aliases the extent
+//     (Producer.SendFan), the fan-out rule of the Pregel message plane.
+//   - Combiner. Sender-side combining (the paper's partial-gather) folds a
+//     message into the first message the producer sent to the same key,
+//     found through a dense last-seen index over the key space — no per-key
+//     maps, no per-merge allocation.
+//   - Grouping. Each reducer groups the extents addressed to it with a
+//     counting sort into a key CSR (Grouped.Build). Rows are scattered in
+//     globally ascending source order, so a key's rows are ordered by source
+//     independent of which task produced them.
+//   - Spill. Spill routes a reducer's extents through a bounds-checked,
+//     CRC-framed binary columnar file, so byte metrics reflect real encoded
+//     sizes and the working set can live on disk between phases.
 package mapreduce
 
-import (
-	"cmp"
-	"encoding/gob"
-	"fmt"
-	"hash/fnv"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
-)
-
-// Pair is one key/value record flowing between rounds.
-type Pair[K cmp.Ordered, V any] struct {
-	Key   K
-	Value V
+// Extent is the rows one producer task addresses to one reducer in one
+// round. Row i is keyed Keys[i] (a key < 0 addresses the reducer itself,
+// see Producer.EmitMail), tagged with the caller's Kinds[i], ordered by
+// Srcs[i] and carries Counts[i]; its float payload is
+// Floats[Offs[i]:Offs[i]+Lens[i]] and its int payload
+// Ints[IOffs[i]:IOffs[i]+ILens[i]]. Float extents may be shared by several
+// rows (fan-out); int extents never are.
+type Extent struct {
+	Keys, Kinds, Srcs, Counts []int32
+	Offs, Lens                []int32
+	IOffs, ILens              []int32
+	Floats                    []float32
+	Ints                      []int32
 }
 
-// Emitter receives records produced by map or reduce functions.
-type Emitter[K cmp.Ordered, V any] func(key K, value V)
+// Len returns the number of rows.
+func (e *Extent) Len() int { return len(e.Keys) }
 
-// Config tunes an engine.
-type Config[K cmp.Ordered, V any] struct {
-	// NumReducers is the reduce-task count (the paper's instance count).
-	NumReducers int
-	// Combine optionally merges the values of one key within one producing
-	// task before shuffle — MapReduce's combiner.
-	Combine func(key K, values []V) []V
-	// ValueBytes estimates a record's wire size for IO accounting; a
-	// constant 64 bytes when nil. Ignored when SpillDir is set (real
-	// serialized sizes are used instead).
-	ValueBytes func(V) int
-	// Partition overrides the key → reducer mapping (default: FNV hash).
-	Partition func(K) int
-	// SpillDir, when non-empty, routes every shuffle through gob-encoded
-	// files under the directory, so a round's working set never has to fit
-	// in one task's memory. Byte metrics then reflect real encoded sizes.
-	SpillDir string
-	// Parallel runs reduce tasks on goroutines.
-	Parallel bool
+// Reset truncates the extent for reuse, keeping every backing array.
+func (e *Extent) Reset() {
+	e.Keys, e.Kinds, e.Srcs, e.Counts = e.Keys[:0], e.Kinds[:0], e.Srcs[:0], e.Counts[:0]
+	e.Offs, e.Lens, e.IOffs, e.ILens = e.Offs[:0], e.Lens[:0], e.IOffs[:0], e.ILens[:0]
+	e.Floats, e.Ints = e.Floats[:0], e.Ints[:0]
 }
 
-// TaskMetrics records one task's activity during one round.
-type TaskMetrics struct {
-	Task          int
-	InputRecords  int64
-	InputBytes    int64
-	OutputRecords int64
-	OutputBytes   int64
-	KeysProcessed int64
-	CombinedAway  int64
+// RowFloats returns row i's float payload (a view into the arena).
+func (e *Extent) RowFloats(i int) []float32 {
+	return e.Floats[e.Offs[i] : e.Offs[i]+e.Lens[i]]
 }
 
-// RoundMetrics aggregates one round.
-type RoundMetrics struct {
-	Name         string
-	Reducers     []TaskMetrics
-	ShuffleBytes int64
-	SpilledFiles int
+// RowInts returns row i's int payload (a view into the arena).
+func (e *Extent) RowInts(i int) []int32 {
+	return e.Ints[e.IOffs[i] : e.IOffs[i]+e.ILens[i]]
 }
 
-// Engine executes rounds. The zero value is unusable; construct with New.
-type Engine[K cmp.Ordered, V any] struct {
-	cfg    Config[K, V]
-	rounds []RoundMetrics
+// appendRow appends one row header whose payloads already sit in the arenas.
+func (e *Extent) appendRow(key, kind, src, count, off, n, ioff, in int32) {
+	e.Keys = append(e.Keys, key)
+	e.Kinds = append(e.Kinds, kind)
+	e.Srcs = append(e.Srcs, src)
+	e.Counts = append(e.Counts, count)
+	e.Offs = append(e.Offs, off)
+	e.Lens = append(e.Lens, n)
+	e.IOffs = append(e.IOffs, ioff)
+	e.ILens = append(e.ILens, in)
 }
 
-// New validates the config and returns an engine.
-func New[K cmp.Ordered, V any](cfg Config[K, V]) *Engine[K, V] {
-	if cfg.NumReducers <= 0 {
-		panic(fmt.Sprintf("mapreduce: invalid reducer count %d", cfg.NumReducers))
-	}
-	if cfg.ValueBytes == nil {
-		cfg.ValueBytes = func(V) int { return 64 }
-	}
-	if cfg.Partition == nil {
-		cfg.Partition = func(k K) int { return defaultPartition(k, cfg.NumReducers) }
-	}
-	return &Engine[K, V]{cfg: cfg}
+// Producer is one task's shuffle writer for one round: it appends the
+// records the task emits to the extents of their reducers, pricing every
+// emitted record and folding combinable messages in place. A producer is
+// owned by one goroutine; its extents are read by their reducers only after
+// the round's barrier.
+//
+// Rows land in each extent in emission order. A producer that emits in
+// ascending source order (every task of the inference backend does: map
+// tasks walk their inputs in id order, reduce tasks their keys) therefore
+// writes extents that are ascending in Srcs — the property Grouped.Build's
+// source-order merge relies on. A combined row keeps the source of the row
+// that created it.
+type Producer struct {
+	// Out holds the extents this task writes, one per reducer.
+	Out []*Extent
+	// Owner maps a key >= 0 to its reducer; shared and read-only.
+	Owner []int32
+	// Bytes prices an emitted record from its kind and payload lengths,
+	// feeding OutBytes.
+	Bytes func(kind int32, floats, ints int) int64
+	// Combine, when non-nil, folds pay into the accumulator row acc of an
+	// earlier message for the same key (Send and SendFan only). Both are
+	// the same length.
+	Combine func(acc, pay []float32)
+
+	// Records and OutBytes count every emitted record, before combining;
+	// CombinedAway counts the messages Combine folded away.
+	Records, OutBytes, CombinedAway int64
+
+	// Dense combiner index: last[key] is (row << 1 | private) of the first
+	// message this round sent to key, valid iff stamp[key] == gen. private
+	// marks a row that owns its payload, so a combine folds into it in
+	// place; a fan row's payload is copied to the arena tail on the first
+	// merge, leaving the shared copy to the rows that alias it.
+	last  []int32
+	stamp []uint32
+	gen   uint32
+	// fan[r] is the arena offset of the current fan's payload in Out[r],
+	// or -1.
+	fan []int32
 }
 
-func defaultPartition[K cmp.Ordered](k K, n int) int {
-	switch v := any(k).(type) {
-	case int:
-		return abs(v) % n
-	case int32:
-		return abs(int(v)) % n
-	case int64:
-		return abs(int(v)) % n
-	case string:
-		h := fnv.New32a()
-		h.Write([]byte(v))
-		return int(h.Sum32()) % n
-	default:
-		h := fnv.New32a()
-		fmt.Fprintf(h, "%v", v)
-		return int(h.Sum32()) % n
+// NewProducer returns a producer writing to out (one extent per reducer)
+// with keys placed by owner.
+func NewProducer(out []*Extent, owner []int32, bytes func(kind int32, floats, ints int) int64) *Producer {
+	return &Producer{Out: out, Owner: owner, Bytes: bytes, fan: make([]int32, len(out))}
+}
+
+// Begin starts a round: extents are truncated, counters cleared and the
+// combiner index invalidated (O(1), by generation).
+func (p *Producer) Begin() {
+	for _, e := range p.Out {
+		e.Reset()
+	}
+	p.Records, p.OutBytes, p.CombinedAway = 0, 0, 0
+	p.gen++
+}
+
+func (p *Producer) count(kind int32, floats, ints int) {
+	p.Records++
+	p.OutBytes += p.Bytes(kind, floats, ints)
+}
+
+// Emit appends one record for key, copying both payloads. Emitted records
+// are never combined.
+func (p *Producer) Emit(key, kind, src, count int32, floats []float32, ints []int32) {
+	p.count(kind, len(floats), len(ints))
+	e := p.Out[p.Owner[key]]
+	off, ioff := len(e.Floats), len(e.Ints)
+	e.Floats = append(e.Floats, floats...)
+	e.Ints = append(e.Ints, ints...)
+	e.appendRow(key, kind, src, count, int32(off), int32(len(floats)), int32(ioff), int32(len(ints)))
+}
+
+// EmitMail appends one record addressed to reducer r itself rather than to
+// a key (key -(r+1)). Reducers see these rows in Grouped's mail, in
+// producer order.
+func (p *Producer) EmitMail(r int, kind, src int32, floats []float32) {
+	p.count(kind, len(floats), 0)
+	e := p.Out[r]
+	off := len(e.Floats)
+	e.Floats = append(e.Floats, floats...)
+	e.appendRow(int32(-(r + 1)), kind, src, 0, int32(off), int32(len(floats)), int32(len(e.Ints)), 0)
+}
+
+// Send appends one message for key, or folds it into the first message
+// this round sent to key when a combiner is set. Rows written by Emit are
+// never combine targets.
+func (p *Producer) Send(key, kind, src, count int32, floats []float32) {
+	p.count(kind, len(floats), 0)
+	if p.combine(key, kind, count, floats) {
+		return
+	}
+	e := p.Out[p.Owner[key]]
+	off := len(e.Floats)
+	e.Floats = append(e.Floats, floats...)
+	p.index(key, e, true)
+	e.appendRow(key, kind, src, count, int32(off), int32(len(floats)), int32(len(e.Ints)), 0)
+}
+
+// SendFan sends one identical message to every key in keys, in order. The
+// payload is copied into each reducer's extent at most once and further
+// rows alias it — results are identical to len(keys) Send calls; only the
+// arena bytes differ.
+func (p *Producer) SendFan(keys []int32, kind, src, count int32, floats []float32) {
+	for i := range p.fan {
+		p.fan[i] = -1
+	}
+	n := int32(len(floats))
+	for _, key := range keys {
+		p.count(kind, len(floats), 0)
+		if p.combine(key, kind, count, floats) {
+			continue
+		}
+		r := p.Owner[key]
+		e := p.Out[r]
+		off := p.fan[r]
+		if off < 0 {
+			off = int32(len(e.Floats))
+			e.Floats = append(e.Floats, floats...)
+			p.fan[r] = off
+		}
+		p.index(key, e, false)
+		e.appendRow(key, kind, src, count, off, n, int32(len(e.Ints)), 0)
 	}
 }
 
-func abs(v int) int {
-	if v < 0 {
-		return -v
+// index makes the row about to be appended to e key's combine target for
+// this round, unless key already has one. private says whether the row
+// owns its payload.
+func (p *Producer) index(key int32, e *Extent, private bool) {
+	if p.Combine == nil || p.stamp[key] == p.gen {
+		return
 	}
-	return v
+	row := int32(e.Len()) << 1
+	if private {
+		row |= 1
+	}
+	p.last[key], p.stamp[key] = row, p.gen
 }
 
-// MapRound partitions inputs across numMappers map tasks and collects each
-// task's emissions, producing the producer-partitioned record lists a
-// subsequent Round consumes. Mapper i processes inputs i, i+numMappers, ...
-// so the split is deterministic.
-func MapRound[I any, K cmp.Ordered, V any](inputs []I, numMappers int, mapFn func(item I, emit Emitter[K, V])) [][]Pair[K, V] {
-	if numMappers <= 0 {
-		panic("mapreduce: invalid mapper count")
+// combine folds a message into key's combine target, reporting whether it
+// did. A target of another kind or width declines, leaving the message to
+// be appended as its own row.
+func (p *Producer) combine(key, kind, count int32, floats []float32) bool {
+	if p.Combine == nil {
+		return false
 	}
-	out := make([][]Pair[K, V], numMappers)
-	for m := 0; m < numMappers; m++ {
-		emit := func(k K, v V) {
-			out[m] = append(out[m], Pair[K, V]{Key: k, Value: v})
-		}
-		for i := m; i < len(inputs); i += numMappers {
-			mapFn(inputs[i], emit)
-		}
+	if p.last == nil {
+		p.last = make([]int32, len(p.Owner))
+		p.stamp = make([]uint32, len(p.Owner))
 	}
-	return out
-}
-
-// Round shuffles producer-partitioned inputs by key and runs reduce over
-// each key group, returning the reducer-partitioned outputs (which can feed
-// the next Round) and this round's metrics. Keys within a reduce task are
-// processed in ascending order, so sentinel keys that sort low (e.g.
-// negative broadcast keys) are guaranteed to be seen before node keys; the
-// task id lets reducers keep per-task scratch state across key groups.
-func (e *Engine[K, V]) Round(name string, inputs [][]Pair[K, V], reduce func(task int, key K, values []V, emit Emitter[K, V])) ([][]Pair[K, V], RoundMetrics, error) {
-	r := e.cfg.NumReducers
-	metrics := RoundMetrics{Name: name, Reducers: make([]TaskMetrics, r)}
-	for i := range metrics.Reducers {
-		metrics.Reducers[i].Task = i
+	if p.stamp[key] != p.gen {
+		return false
 	}
-
-	// Combine within each producing task, then bucket records by reducer.
-	buckets := make([][]Pair[K, V], r)
-	for _, produced := range inputs {
-		records := produced
-		if e.cfg.Combine != nil {
-			combined, removed := combineTask(records, e.cfg.Combine)
-			records = combined
-			// Attribute combiner savings to the receiving side evenly; the
-			// per-producer attribution is not observable in the paper's
-			// metrics, only the total reduction is.
-			metrics.Reducers[0].CombinedAway += removed
-		}
-		for _, p := range records {
-			buckets[e.cfg.Partition(p.Key)] = append(buckets[e.cfg.Partition(p.Key)], p)
-		}
+	e := p.Out[p.Owner[key]]
+	i := int(p.last[key] >> 1)
+	if e.Kinds[i] != kind || int(e.Lens[i]) != len(floats) {
+		return false
 	}
-
-	// Optionally spill each bucket through disk, measuring true sizes.
-	if e.cfg.SpillDir != "" {
-		for i := range buckets {
-			size, restored, err := spillRoundTrip(e.cfg.SpillDir, name, i, buckets[i])
-			if err != nil {
-				return nil, metrics, err
-			}
-			buckets[i] = restored
-			metrics.Reducers[i].InputBytes += size
-			metrics.ShuffleBytes += size
-			metrics.SpilledFiles++
-		}
+	if p.last[key]&1 == 0 {
+		// Copy on first merge: the fan payload stays pristine for the rows
+		// that alias it.
+		off := int32(len(e.Floats))
+		e.Floats = append(e.Floats, e.RowFloats(i)...)
+		e.Offs[i] = off
+		p.last[key] |= 1
 	}
-
-	outputs := make([][]Pair[K, V], r)
-	var wg sync.WaitGroup
-	runTask := func(i int) {
-		tm := &metrics.Reducers[i]
-		tm.InputRecords = int64(len(buckets[i]))
-		if e.cfg.SpillDir == "" {
-			for _, p := range buckets[i] {
-				tm.InputBytes += int64(e.cfg.ValueBytes(p.Value))
-			}
-		}
-		// Group by key deterministically: first-seen order collection, then
-		// sorted-key iteration.
-		groups := map[K][]V{}
-		var keys []K
-		for _, p := range buckets[i] {
-			if _, ok := groups[p.Key]; !ok {
-				keys = append(keys, p.Key)
-			}
-			groups[p.Key] = append(groups[p.Key], p.Value)
-		}
-		sort.Slice(keys, func(a, b int) bool { return cmp.Less(keys[a], keys[b]) })
-		emit := func(k K, v V) {
-			outputs[i] = append(outputs[i], Pair[K, V]{Key: k, Value: v})
-			tm.OutputRecords++
-			tm.OutputBytes += int64(e.cfg.ValueBytes(v))
-		}
-		for _, k := range keys {
-			tm.KeysProcessed++
-			reduce(i, k, groups[k], emit)
-		}
-	}
-	if e.cfg.Parallel {
-		for i := 0; i < r; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				runTask(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := 0; i < r; i++ {
-			runTask(i)
-		}
-	}
-	if e.cfg.SpillDir == "" {
-		for i := range metrics.Reducers {
-			metrics.ShuffleBytes += metrics.Reducers[i].InputBytes
-		}
-	}
-	e.rounds = append(e.rounds, metrics)
-	return outputs, metrics, nil
-}
-
-// Rounds returns the metrics of every round executed so far.
-func (e *Engine[K, V]) Rounds() []RoundMetrics { return e.rounds }
-
-// combineTask merges values per key within one producing task, preserving
-// first-seen key order.
-func combineTask[K cmp.Ordered, V any](records []Pair[K, V], combine func(K, []V) []V) ([]Pair[K, V], int64) {
-	groups := map[K][]V{}
-	var keys []K
-	for _, p := range records {
-		if _, ok := groups[p.Key]; !ok {
-			keys = append(keys, p.Key)
-		}
-		groups[p.Key] = append(groups[p.Key], p.Value)
-	}
-	var out []Pair[K, V]
-	for _, k := range keys {
-		for _, v := range combine(k, groups[k]) {
-			out = append(out, Pair[K, V]{Key: k, Value: v})
-		}
-	}
-	return out, int64(len(records) - len(out))
-}
-
-// spillRoundTrip writes records to a gob file and reads them back, returning
-// the encoded size. The file is removed afterwards.
-func spillRoundTrip[K cmp.Ordered, V any](dir, round string, task int, records []Pair[K, V]) (int64, []Pair[K, V], error) {
-	if records == nil {
-		records = []Pair[K, V]{}
-	}
-	path := filepath.Join(dir, fmt.Sprintf("shuffle-%s-%d.gob", sanitize(round), task))
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, nil, fmt.Errorf("mapreduce: spill create: %w", err)
-	}
-	enc := gob.NewEncoder(f)
-	if err := enc.Encode(records); err != nil {
-		f.Close()
-		return 0, nil, fmt.Errorf("mapreduce: spill encode: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return 0, nil, err
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	rf, err := os.Open(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer os.Remove(path)
-	defer rf.Close()
-	var restored []Pair[K, V]
-	if err := gob.NewDecoder(rf).Decode(&restored); err != nil {
-		return 0, nil, fmt.Errorf("mapreduce: spill decode: %w", err)
-	}
-	if restored == nil {
-		restored = []Pair[K, V]{}
-	}
-	return info.Size(), restored, nil
-}
-
-func sanitize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			out = append(out, r)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
+	p.Combine(e.RowFloats(i), floats)
+	e.Counts[i] += count
+	p.CombinedAway++
+	return true
 }
