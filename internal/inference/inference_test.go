@@ -211,14 +211,23 @@ func TestEdgeFeatureModelMatchesReference(t *testing.T) {
 	})
 	g := ds.Graph
 	m := gas.NewSAGEModel("sage-ef", gas.TaskSingleLabel, 6, 8, 3, 2, 4, tensor.NewRNG(10))
-	for _, backend := range []func(*gas.Model, *graph.Graph, Options) (*Result, error){RunPregel, RunMapReduce} {
-		res, err := backend(m, g, Options{NumWorkers: 4})
-		if err != nil {
-			t.Fatal(err)
+	want := ReferenceForward(m, g)
+	for _, opts := range []Options{{NumWorkers: 4}, {NumWorkers: 4, ShadowNodes: true, HubThreshold: 6}} {
+		var logits []*tensor.Matrix
+		for _, backend := range []func(*gas.Model, *graph.Graph, Options) (*Result, error){RunPregel, RunMapReduce} {
+			res, err := backend(m, g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Logits.AllClose(want, logitTol) {
+				t.Fatalf("edge-feature model diverges: %v", res.Logits.MaxAbsDiff(want))
+			}
+			logits = append(logits, res.Logits)
 		}
-		want := ReferenceForward(m, g)
-		if !res.Logits.AllClose(want, logitTol) {
-			t.Fatalf("edge-feature model diverges: %v", res.Logits.MaxAbsDiff(want))
+		// Edge features ride in MapReduce's out-edge records; the per-edge
+		// messages they produce must equal Pregel's bit for bit.
+		if !logits[1].Equal(logits[0]) {
+			t.Fatalf("%+v: mapreduce differs from pregel by %v", opts, logits[1].MaxAbsDiff(logits[0]))
 		}
 	}
 }
