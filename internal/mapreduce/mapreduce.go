@@ -20,8 +20,8 @@
 //     globally ascending source order, so a key's rows are ordered by source
 //     independent of which task produced them.
 //   - Spill. Spill routes a reducer's extents through a bounds-checked,
-//     CRC-framed binary columnar file, so byte metrics reflect real encoded
-//     sizes and the working set can live on disk between phases.
+//     CRC-framed binary columnar file, so its input really round-trips
+//     through storage and its byte metrics are the encoded sizes.
 package mapreduce
 
 // Extent is the rows one producer task addresses to one reducer in one
