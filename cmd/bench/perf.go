@@ -1,12 +1,12 @@
 package main
 
 // The -perf mode: machine-readable compute/message-plane benchmarks. Each
-// run measures the Pregel backend end to end on all three planes — batched
-// (the default: partition-centric ComputeBatch over columnar messages),
-// per-vertex columnar (the PR 2 plane), and per-vertex boxed — plus the
-// MapReduce backend and the reference forward as fixed points, a
-// partitioning suite comparing vertex-placement strategies (hash, degree-
-// balanced, LDG, Fennel) on homophilous power-law graphs, and the PR 5
+// run measures the Pregel backend end to end on both compute planes —
+// batched (the default: partition-centric ComputeBatch over columnar
+// messages) and per-vertex (the PR 2 plane) — plus the MapReduce backend
+// and the reference forward as fixed points, a partitioning suite comparing
+// vertex-placement strategies (hash, degree-balanced, LDG, Fennel) on
+// homophilous power-law graphs, and the PR 5
 // pipelined suite comparing the pipelined superstep plane (chunked eager
 // flushing + background inbox assembly) against the BSP columnar plane on a
 // message-heavy multi-worker skew-in power-law graph.
@@ -404,12 +404,9 @@ func runPlaneSuite(rep *perfReport, scale string) (bool, error) {
 		}
 		perVertex := opts
 		perVertex.PerVertexCompute = true
-		boxed := opts
-		boxed.BoxedMessages = true
 		return []benchSpec{
 			pregelSpec(name+"/batched", m, ds.Graph, supersteps, opts),
 			pregelSpec(name+"/per-vertex", m, ds.Graph, supersteps, perVertex),
-			pregelSpec(name+"/boxed", m, ds.Graph, supersteps, boxed),
 		}
 	}
 
@@ -870,8 +867,8 @@ func comboSetByName(name string) (comboSet, error) {
 
 // verifyIdentity re-checks the acceptance invariants outside the test suite:
 // for every strategy combination, worker count and placement strategy, the
-// batched plane's logits are bit-identical to the per-vertex columnar
-// plane's and the boxed plane's; the predicted classes are byte-identical
+// batched plane's logits are bit-identical to the per-vertex plane's; the
+// predicted classes are byte-identical
 // to the reference forward; for the placement-invariant configs (everything
 // except partial-gather, whose sender-side combining regroups float sums)
 // logits are bit-identical across ALL worker counts and placements to one
@@ -927,20 +924,9 @@ func verifyIdentity(set comboSet) perfIdentity {
 								id.fail(name + ": per-vertex: " + err.Error())
 								continue
 							}
-							boxedOpts := opts
-							boxedOpts.BoxedMessages = true
-							boxed, err := inference.RunPregel(m, g, boxedOpts)
-							if err != nil {
-								id.fail(name + ": boxed: " + err.Error())
-								continue
-							}
 							if !batched.Logits.Equal(perVertex.Logits) {
 								id.PlanesBitIdentical = false
 								id.fail(name + ": logits diverge between batched and per-vertex planes")
-							}
-							if !batched.Logits.Equal(boxed.Logits) {
-								id.PlanesBitIdentical = false
-								id.fail(name + ": logits diverge between batched and boxed planes")
 							}
 							if !pg {
 								key := fmt.Sprintf("bc=%v/sn=%v", bc, sn)

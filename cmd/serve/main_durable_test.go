@@ -64,6 +64,28 @@ func oracleLogits(t *testing.T, dataPath, modelPath string, batches []string) []
 	return b
 }
 
+// waitSessionEpoch polls /v1/stats until the durable session's first epoch
+// (the one persisted after priming) is on disk. Mutating before then races
+// the kill against that persist: on a slow build the server can die with no
+// epoch at all, and the restart then primes cold instead of resuming.
+func waitSessionEpoch(t *testing.T, url string) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		st, sb := httpGet(t, url+"/v1/stats")
+		var stats struct {
+			SessionEpochs int64 `json:"session_epochs"`
+		}
+		if st == 200 && json.Unmarshal(sb, &stats) == nil && stats.SessionEpochs >= 1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("first durable session epoch never persisted: %s", sb)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func waitKilled(t *testing.T, exited chan error) {
 	t.Helper()
 	select {
@@ -117,6 +139,7 @@ func TestServerDurableKillMatrix(t *testing.T) {
 			sess := filepath.Join(t.TempDir(), "session")
 			base := []string{"-data", dataPath, "-model", modelPath, "-workers", "4", "-session-dir", sess}
 			_, _, url, exited := startServe(t, append(base, tc.killArgs...)...)
+			waitSessionEpoch(t, url)
 
 			for i, b := range batches {
 				st, body := postJSON(t, url+"/v1/mutate", b)

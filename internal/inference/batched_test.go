@@ -6,19 +6,20 @@ import (
 	"inferturbo/internal/datagen"
 	"inferturbo/internal/gas"
 	"inferturbo/internal/graph"
+	"inferturbo/internal/pregel"
 	"inferturbo/internal/tensor"
 )
 
 // Plane-equivalence tests for the batched compute plane: partition-centric
 // ComputeBatch supersteps are a pure dispatch/fusion change, so against the
-// per-vertex plane (columnar and boxed) and the MapReduce backend they must
+// per-vertex plane and the MapReduce backend they must
 // produce bit-identical logits — tensor.Matrix.Equal, not AllClose — plus
 // identical IO accounting, under every strategy combination, at every worker
 // count, serial and parallel.
 
-// runPlanes runs the same options on the three Pregel planes, returning
-// (batched, per-vertex columnar, boxed).
-func runPlanes(t *testing.T, m *gas.Model, g *graph.Graph, opts Options) (*Result, *Result, *Result) {
+// runPlanes runs the same options on both Pregel compute planes, returning
+// (batched, per-vertex).
+func runPlanes(t *testing.T, m *gas.Model, g *graph.Graph, opts Options) (*Result, *Result) {
 	t.Helper()
 	batched, err := RunPregel(m, g, opts)
 	if err != nil {
@@ -30,13 +31,7 @@ func runPlanes(t *testing.T, m *gas.Model, g *graph.Graph, opts Options) (*Resul
 	if err != nil {
 		t.Fatalf("%s per-vertex: %v", comboName(opts), err)
 	}
-	bx := opts
-	bx.BoxedMessages = true
-	boxed, err := RunPregel(m, g, bx)
-	if err != nil {
-		t.Fatalf("%s boxed: %v", comboName(opts), err)
-	}
-	return batched, perVertex, boxed
+	return batched, perVertex
 }
 
 func TestBatchedPlaneBitIdenticalAllStrategies(t *testing.T) {
@@ -50,14 +45,10 @@ func TestBatchedPlaneBitIdenticalAllStrategies(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, parallel := range []bool{false, true} {
 			for _, opts := range strategyCombos(workers, parallel) {
-				batched, perVertex, boxed := runPlanes(t, m, g, opts)
+				batched, perVertex := runPlanes(t, m, g, opts)
 				if !batched.Logits.Equal(perVertex.Logits) {
 					t.Fatalf("%s: batched logits diverge from per-vertex: max diff %v",
 						comboName(opts), batched.Logits.MaxAbsDiff(perVertex.Logits))
-				}
-				if !batched.Logits.Equal(boxed.Logits) {
-					t.Fatalf("%s: batched logits diverge from boxed: max diff %v",
-						comboName(opts), batched.Logits.MaxAbsDiff(boxed.Logits))
 				}
 				// MapReduce folds each key group in shuffle-sort order, not
 				// Pregel's sender-worker delivery order, so cross-backend
@@ -91,7 +82,7 @@ func TestBatchedPlaneFlopAccountingMatches(t *testing.T) {
 	g := testGraph(t, datagen.SkewIn, 190)
 	m := sageModel(t)
 	opts := Options{NumWorkers: 4, PartialGather: true, Parallel: true}
-	batched, perVertex, _ := runPlanes(t, m, g, opts)
+	batched, perVertex := runPlanes(t, m, g, opts)
 	for w := range batched.Stats.WorkerFlops {
 		if batched.Stats.WorkerFlops[w] != perVertex.Stats.WorkerFlops[w] {
 			t.Fatalf("worker %d flops: batched %d, per-vertex %d",
@@ -117,9 +108,9 @@ func TestBatchedPlaneGAT(t *testing.T) {
 			{NumWorkers: workers, PartialGather: true, Parallel: true},
 			{NumWorkers: workers, Broadcast: true, ShadowNodes: true, Parallel: true},
 		} {
-			batched, perVertex, boxed := runPlanes(t, m, g, opts)
-			if !batched.Logits.Equal(perVertex.Logits) || !batched.Logits.Equal(boxed.Logits) {
-				t.Fatalf("%s: GAT batched logits diverge from per-vertex/boxed", comboName(opts))
+			batched, perVertex := runPlanes(t, m, g, opts)
+			if !batched.Logits.Equal(perVertex.Logits) {
+				t.Fatalf("%s: GAT batched logits diverge from per-vertex", comboName(opts))
 			}
 			for v, c := range batched.Classes {
 				if c != wantClasses[v] {
@@ -140,9 +131,9 @@ func TestBatchedPlaneGCN(t *testing.T) {
 		{NumWorkers: 4, PartialGather: true},
 		{NumWorkers: 8, PartialGather: true, Broadcast: true, ShadowNodes: true, Parallel: true},
 	} {
-		batched, perVertex, boxed := runPlanes(t, m, g, opts)
-		if !batched.Logits.Equal(perVertex.Logits) || !batched.Logits.Equal(boxed.Logits) {
-			t.Fatalf("%s: GCN batched logits diverge from per-vertex/boxed", comboName(opts))
+		batched, perVertex := runPlanes(t, m, g, opts)
+		if !batched.Logits.Equal(perVertex.Logits) {
+			t.Fatalf("%s: GCN batched logits diverge from per-vertex", comboName(opts))
 		}
 	}
 }
@@ -160,8 +151,8 @@ func TestBatchedPlaneEdgeFeatures(t *testing.T) {
 		{NumWorkers: 4, PartialGather: true},
 		{NumWorkers: 8, PartialGather: true, ShadowNodes: true, Parallel: true},
 	} {
-		batched, perVertex, boxed := runPlanes(t, m, ds.Graph, opts)
-		if !batched.Logits.Equal(perVertex.Logits) || !batched.Logits.Equal(boxed.Logits) {
+		batched, perVertex := runPlanes(t, m, ds.Graph, opts)
+		if !batched.Logits.Equal(perVertex.Logits) {
 			t.Fatalf("%s: edge-feature batched logits diverge", comboName(opts))
 		}
 	}
@@ -177,11 +168,17 @@ func TestBatchedEmbeddingsMatchPerVertex(t *testing.T) {
 		gas.NewSAGEModel("sage-1l", gas.TaskSingleLabel, 8, 12, 4, 1, 0, tensor.NewRNG(9)),
 	} {
 		opts := Options{NumWorkers: 5, PartialGather: true, EmitEmbeddings: true}
-		batched, perVertex, _ := runPlanes(t, m, g, opts)
+		batched, perVertex := runPlanes(t, m, g, opts)
 		if !batched.Embeddings.Equal(perVertex.Embeddings) {
 			t.Fatalf("%s: batched embeddings diverge from per-vertex", m.Name)
 		}
 	}
+}
+
+// crashBefore plans one injected worker crash before the given superstep's
+// compute.
+func crashBefore(step int) *pregel.FaultPlan {
+	return &pregel.FaultPlan{Crashes: []pregel.Fault{{Superstep: step, Point: pregel.FaultBeforeSuperstep}}}
 }
 
 // TestBatchedRecoveryByteIdentical: a batched run that loses a superstep to
@@ -202,7 +199,7 @@ func TestBatchedRecoveryByteIdentical(t *testing.T) {
 		for fail := 1; fail <= m.NumLayers(); fail++ {
 			crashed := opts
 			crashed.CheckpointEvery = 1
-			crashed.FailAtSuperstep = fail
+			crashed.Faults = crashBefore(fail)
 			rec, err := RunPregel(m, g, crashed)
 			if err != nil {
 				t.Fatalf("%s fail@%d: %v", comboName(opts), fail, err)
@@ -216,30 +213,26 @@ func TestBatchedRecoveryByteIdentical(t *testing.T) {
 }
 
 // TestPerVertexRecoveryByteIdentical: the checkpoint options must also hold
-// on the per-vertex planes, whose next-h slabs are deliberately left
+// on the per-vertex plane, whose next-h slabs are deliberately left
 // unrecycled under checkpointing so snapshot aliases stay intact.
 func TestPerVertexRecoveryByteIdentical(t *testing.T) {
 	g := testGraph(t, datagen.SkewOut, 160)
 	m := sageModel(t)
-	for _, plane := range []Options{
-		{NumWorkers: 4, PartialGather: true, PerVertexCompute: true},
-		{NumWorkers: 4, PartialGather: true, BoxedMessages: true},
-	} {
-		clean, err := RunPregel(m, g, plane)
-		if err != nil {
-			t.Fatal(err)
-		}
-		crashed := plane
-		crashed.CheckpointEvery = 1
-		crashed.FailAtSuperstep = 2
-		rec, err := RunPregel(m, g, crashed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !clean.Logits.Equal(rec.Logits) {
-			t.Fatalf("per-vertex plane (boxed=%v) diverges after recovery: max diff %v",
-				plane.BoxedMessages, clean.Logits.MaxAbsDiff(rec.Logits))
-		}
+	plane := Options{NumWorkers: 4, PartialGather: true, PerVertexCompute: true}
+	clean, err := RunPregel(m, g, plane)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed := plane
+	crashed.CheckpointEvery = 1
+	crashed.Faults = crashBefore(2)
+	rec, err := RunPregel(m, g, crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !clean.Logits.Equal(rec.Logits) {
+		t.Fatalf("per-vertex plane diverges after recovery: max diff %v",
+			clean.Logits.MaxAbsDiff(rec.Logits))
 	}
 }
 
@@ -255,7 +248,7 @@ func TestBatchedEmbeddingsSurviveRecovery(t *testing.T) {
 	}
 	crashed := opts
 	crashed.CheckpointEvery = 1
-	crashed.FailAtSuperstep = m.NumLayers() // final superstep lost and replayed
+	crashed.Faults = crashBefore(m.NumLayers()) // final superstep lost and replayed
 	rec, err := RunPregel(m, g, crashed)
 	if err != nil {
 		t.Fatal(err)

@@ -19,24 +19,11 @@ func benchSetup(b *testing.B, skew datagen.Skew) (*gas.Model, *datagen.Dataset) 
 }
 
 // Backend comparison: the trade-off the paper's Table III quantifies.
-// BenchmarkBackendPregel runs the default columnar message plane;
-// BenchmarkBackendPregelBoxed pins the legacy per-message object plane so
-// the plane delta stays visible superstep over superstep.
 func BenchmarkBackendPregel(b *testing.B) {
 	m, ds := benchSetup(b, datagen.SkewIn)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunPregel(m, ds.Graph, Options{NumWorkers: 8, PartialGather: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBackendPregelBoxed(b *testing.B) {
-	m, ds := benchSetup(b, datagen.SkewIn)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunPregel(m, ds.Graph, Options{NumWorkers: 8, PartialGather: true, BoxedMessages: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,14 +6,17 @@ import (
 
 	"inferturbo/internal/datagen"
 	"inferturbo/internal/gas"
+	"inferturbo/internal/graph"
 	"inferturbo/internal/tensor"
 )
 
-// Plane-equivalence tests: the columnar message plane is a pure transport
-// optimization, so against the boxed plane it must produce bit-identical
-// logits AND identical IO accounting under every strategy combination, at
-// every worker count, serial and parallel — and predictions must stay
-// byte-identical to the reference forward throughout.
+// Message-plane tests against an independent implementation: the per-vertex
+// compute plane's columnar messaging (engine send buffers, sender-side
+// combiner, source-merged delivery) must reproduce the MapReduce backend's
+// columnar shuffle — bit for bit outside partial-gather, whose combiners
+// group different sources per backend and so agree to tolerance — under
+// every strategy combination, at every worker count, serial and parallel,
+// with predictions byte-identical to the reference forward throughout.
 
 // strategyCombos enumerates the paper's strategy power set.
 func strategyCombos(workers int, parallel bool) []Options {
@@ -39,6 +42,32 @@ func comboName(o Options) string {
 		o.NumWorkers, o.PartialGather, o.Broadcast, o.ShadowNodes, o.Parallel)
 }
 
+// requireMatchesMapReduce runs opts on the per-vertex Pregel plane and on
+// the MapReduce backend and compares their logits: Equal, or AllClose under
+// partial-gather.
+func requireMatchesMapReduce(t *testing.T, label string, m *gas.Model, g *graph.Graph, opts Options) *Result {
+	t.Helper()
+	pv := opts
+	pv.PerVertexCompute = true
+	col, err := RunPregel(m, g, pv)
+	if err != nil {
+		t.Fatalf("%s pregel: %v", label, err)
+	}
+	mr, err := RunMapReduce(m, g, opts)
+	if err != nil {
+		t.Fatalf("%s mapreduce: %v", label, err)
+	}
+	same := col.Logits.Equal(mr.Logits)
+	if opts.PartialGather {
+		same = col.Logits.AllClose(mr.Logits, logitTol)
+	}
+	if !same {
+		t.Fatalf("%s: per-vertex logits diverge from MapReduce: max diff %v",
+			label, col.Logits.MaxAbsDiff(mr.Logits))
+	}
+	return col
+}
+
 func TestColumnarPlaneBitIdenticalAllStrategies(t *testing.T) {
 	g := testGraph(t, datagen.SkewOut, 220)
 	m := sageModel(t)
@@ -46,27 +75,7 @@ func TestColumnarPlaneBitIdenticalAllStrategies(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, parallel := range []bool{false, true} {
 			for _, opts := range strategyCombos(workers, parallel) {
-				col, err := RunPregel(m, g, opts)
-				if err != nil {
-					t.Fatalf("%s columnar: %v", comboName(opts), err)
-				}
-				boxedOpts := opts
-				boxedOpts.BoxedMessages = true
-				boxed, err := RunPregel(m, g, boxedOpts)
-				if err != nil {
-					t.Fatalf("%s boxed: %v", comboName(opts), err)
-				}
-				if !col.Logits.Equal(boxed.Logits) {
-					t.Fatalf("%s: columnar logits diverge from boxed: max diff %v",
-						comboName(opts), col.Logits.MaxAbsDiff(boxed.Logits))
-				}
-				cs, bs := col.Stats, boxed.Stats
-				if cs.MessagesSent != bs.MessagesSent || cs.BytesSent != bs.BytesSent ||
-					cs.BytesReceived != bs.BytesReceived || cs.CombinedAway != bs.CombinedAway ||
-					cs.BroadcastHubs != bs.BroadcastHubs || cs.Supersteps != bs.Supersteps {
-					t.Fatalf("%s: stats diverge between planes:\ncolumnar %+v\nboxed    %+v",
-						comboName(opts), cs, bs)
-				}
+				col := requireMatchesMapReduce(t, comboName(opts), m, g, opts)
 				for v, c := range col.Classes {
 					if c != wantClasses[v] {
 						t.Fatalf("%s: class of node %d = %d, reference %d", comboName(opts), v, c, wantClasses[v])
@@ -89,20 +98,7 @@ func TestColumnarPlaneBitIdenticalGAT(t *testing.T) {
 			{NumWorkers: workers, PartialGather: true, Parallel: true},
 			{NumWorkers: workers, Broadcast: true, ShadowNodes: true, Parallel: true},
 		} {
-			col, err := RunPregel(m, g, opts)
-			if err != nil {
-				t.Fatalf("%s columnar: %v", comboName(opts), err)
-			}
-			boxedOpts := opts
-			boxedOpts.BoxedMessages = true
-			boxed, err := RunPregel(m, g, boxedOpts)
-			if err != nil {
-				t.Fatalf("%s boxed: %v", comboName(opts), err)
-			}
-			if !col.Logits.Equal(boxed.Logits) {
-				t.Fatalf("%s: GAT columnar logits diverge from boxed: max diff %v",
-					comboName(opts), col.Logits.MaxAbsDiff(boxed.Logits))
-			}
+			col := requireMatchesMapReduce(t, "GAT "+comboName(opts), m, g, opts)
 			for v, c := range col.Classes {
 				if c != wantClasses[v] {
 					t.Fatalf("%s: GAT class of node %d = %d, reference %d", comboName(opts), v, c, wantClasses[v])
@@ -125,39 +121,6 @@ func TestColumnarPlaneEdgeFeatures(t *testing.T) {
 		{NumWorkers: 4, PartialGather: true},
 		{NumWorkers: 8, PartialGather: true, ShadowNodes: true, Parallel: true},
 	} {
-		col, err := RunPregel(m, ds.Graph, opts)
-		if err != nil {
-			t.Fatalf("%s columnar: %v", comboName(opts), err)
-		}
-		boxedOpts := opts
-		boxedOpts.BoxedMessages = true
-		boxed, err := RunPregel(m, ds.Graph, boxedOpts)
-		if err != nil {
-			t.Fatalf("%s boxed: %v", comboName(opts), err)
-		}
-		if !col.Logits.Equal(boxed.Logits) {
-			t.Fatalf("%s: edge-feature columnar logits diverge: max diff %v",
-				comboName(opts), col.Logits.MaxAbsDiff(boxed.Logits))
-		}
-	}
-}
-
-// TestColumnarEmbeddingsMatchBoxed: EmitEmbeddings retains the penultimate
-// state across the plane's buffer management.
-func TestColumnarEmbeddingsMatchBoxed(t *testing.T) {
-	g := testGraph(t, datagen.SkewIn, 150)
-	m := sageModel(t)
-	opts := Options{NumWorkers: 5, PartialGather: true, EmitEmbeddings: true}
-	col, err := RunPregel(m, g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.BoxedMessages = true
-	boxed, err := RunPregel(m, g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !col.Embeddings.Equal(boxed.Embeddings) {
-		t.Fatal("columnar embeddings diverge from boxed")
+		requireMatchesMapReduce(t, "edge-feature "+comboName(opts), m, ds.Graph, opts)
 	}
 }

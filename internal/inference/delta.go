@@ -63,11 +63,8 @@ type deltaDriver struct {
 }
 
 // deltaVtx carries no per-vertex engine state: everything lives in the
-// session's resident slabs. deltaPing is the (payload-free) message type.
-type (
-	deltaVtx  struct{}
-	deltaPing struct{}
-)
+// session's resident slabs.
+type deltaVtx struct{}
 
 // pingTag is the columnar kind byte of an activation ping.
 const pingTag = msgState
@@ -187,7 +184,7 @@ func (d *deltaDriver) recompute(w int, v int32, k int) bool {
 }
 
 // Compute implements pregel.VertexProgram — the per-vertex delta plane.
-func (d *deltaDriver) Compute(ctx *pregel.Context[deltaVtx, deltaPing], _ []deltaPing) {
+func (d *deltaDriver) Compute(ctx *pregel.Context[deltaVtx]) {
 	k, v, w := ctx.Superstep, ctx.ID, ctx.WorkerID()
 	if k == 0 {
 		d.seedStep(ctx, v)
@@ -205,7 +202,7 @@ func (d *deltaDriver) Compute(ctx *pregel.Context[deltaVtx, deltaPing], _ []delt
 // frontier restricts it to computed (active or pinged) rows of the
 // partition; everything else keeps its resident slab rows untouched. Work
 // per superstep is proportional to the surviving wave, not the partition.
-func (d *deltaDriver) ComputeBatch(ctx *pregel.BatchContext[deltaVtx, deltaPing]) {
+func (d *deltaDriver) ComputeBatch(ctx *pregel.BatchContext[deltaVtx]) {
 	w, k := ctx.WorkerID(), ctx.Superstep
 	owned := ctx.Owned()
 	chunk := ctx.ChunkSize() // 0 off the pipelined plane

@@ -7,13 +7,13 @@ import (
 	"inferturbo/internal/tensor"
 )
 
-// Durable checkpoint codec for the GNN driver: the byte form of vtxValue,
-// gnnMsg, and the batched plane's progSnap inside an epoch file. Floats
+// Durable checkpoint codec for the GNN driver: the byte form of vtxValue and
+// the batched plane's progSnap inside an epoch file. Floats
 // round-trip through their IEEE-754 bit patterns (checkpoint.AppendF32s), so
 // a resumed run recomputes from exactly the slices the killed run held —
 // the foundation of the crash-resume bit-identity guarantee.
 
-// gnnCodec implements pregel.SnapshotCodec[vtxValue, gnnMsg].
+// gnnCodec implements pregel.SnapshotCodec[vtxValue].
 type gnnCodec struct{}
 
 func (gnnCodec) EncodeValues(dst []byte, vals []vtxValue) ([]byte, error) {
@@ -39,35 +39,6 @@ func (gnnCodec) DecodeValues(data []byte, into []vtxValue) error {
 		}
 	}
 	return r.Err()
-}
-
-func (gnnCodec) EncodeMsgs(dst []byte, msgs []gnnMsg) ([]byte, error) {
-	b := checkpoint.AppendU64(dst, uint64(len(msgs)))
-	for _, m := range msgs {
-		b = checkpoint.AppendU32(b, uint32(m.Kind)|uint32(m.Reduce)<<8)
-		b = checkpoint.AppendU32(b, uint32(m.Src))
-		b = checkpoint.AppendU32(b, uint32(m.Count))
-		b = checkpoint.AppendF32s(b, m.Payload)
-	}
-	return b, nil
-}
-
-func (gnnCodec) DecodeMsgs(data []byte) ([]gnnMsg, error) {
-	r := checkpoint.NewReader(data)
-	n := int(r.U64())
-	msgs := make([]gnnMsg, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		var m gnnMsg
-		hdr := r.U32()
-		m.Kind, m.Reduce = uint8(hdr), uint8(hdr>>8)
-		m.Src = int32(r.U32())
-		m.Count = int32(r.U32())
-		if p := r.F32s(); len(p) > 0 {
-			m.Payload = p
-		}
-		msgs = append(msgs, m)
-	}
-	return msgs, r.Err()
 }
 
 // appendMatrix serializes one optional slab: a presence flag, then shape and

@@ -49,17 +49,16 @@ func TestDurableCheckpointStats(t *testing.T) {
 	}
 }
 
-// TestResumeFromDurableEpoch: for every compute/message plane, a resumed run
-// over an existing checkpoint directory — with the newest epoch corrupted, so
-// resume falls back an epoch and recomputes the tail supersteps — produces
-// byte-identical predictions.
+// TestResumeFromDurableEpoch: for every compute plane and barrier, a
+// resumed run over an existing checkpoint directory — with the newest epoch
+// corrupted, so resume falls back an epoch and recomputes the tail
+// supersteps — produces byte-identical predictions.
 func TestResumeFromDurableEpoch(t *testing.T) {
 	g := testGraph(t, datagen.SkewOut, 210)
 	m := sageModel(t)
 	planes := []Options{
 		{NumWorkers: 4, Parallel: true},
 		{NumWorkers: 4, PerVertexCompute: true},
-		{NumWorkers: 4, BoxedMessages: true},
 		{NumWorkers: 4, Parallel: true, Pipelined: true, PipelineChunk: 7},
 		{NumWorkers: 3, Broadcast: true, ShadowNodes: true, PartialGather: true, EmitEmbeddings: true},
 	}
@@ -118,8 +117,7 @@ func TestResumeColdStart(t *testing.T) {
 }
 
 // TestFaultPlanInference: a multi-crash fault plan — including a superstep-0
-// crash the legacy FailAtSuperstep field cannot express — recovers to
-// byte-identical predictions on both compute planes.
+// crash — recovers to byte-identical predictions on both compute planes.
 func TestFaultPlanInference(t *testing.T) {
 	g := testGraph(t, datagen.SkewOut, 180)
 	m := sageModel(t)

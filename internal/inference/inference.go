@@ -58,14 +58,6 @@ type Options struct {
 	HubThreshold int
 	// Parallel runs workers on goroutines; results are identical either way.
 	Parallel bool
-	// BoxedMessages forces the Pregel backend onto the legacy per-message
-	// object plane instead of the columnar zero-copy message plane. The two
-	// planes produce bit-identical predictions and IO stats; boxed exists
-	// for comparison benchmarks and the plane-equivalence tests, and costs
-	// one payload allocation per message. Boxed implies the per-vertex
-	// compute plane (there is no batched boxed path). MapReduce ignores
-	// this.
-	BoxedMessages bool
 	// PerVertexCompute pins the Pregel backend onto the classic
 	// one-Compute-call-per-vertex plane instead of the batched
 	// partition-centric plane that runs each worker's gather as one fused
@@ -79,8 +71,7 @@ type Options struct {
 	// flushing and background inbox assembly, shrinking the superstep
 	// barrier to a drain plus the ascending-source merge. Results, delivery
 	// order and IO stats are bit-identical to the BSP path at any chunk size
-	// and pipeline depth. Requires the columnar message plane (incompatible
-	// with BoxedMessages); works on both compute planes. MapReduce ignores
+	// and pipeline depth. Works on both compute planes. MapReduce ignores
 	// this.
 	Pipelined bool
 	// PipelineChunk is the pipelined plane's chunk granularity in owned
@@ -97,13 +88,6 @@ type Options struct {
 	// from a worker failure. 0 disables checkpointing. MapReduce ignores
 	// this.
 	CheckpointEvery int
-	// FailAtSuperstep injects one simulated Pregel worker crash at the
-	// given superstep (> 0); the engine restores the latest checkpoint and
-	// replays, and results are identical to a failure-free run. Used by the
-	// fault-tolerance tests. Superseded by Faults (which can target
-	// superstep 0 and schedule multiple crashes); kept for back-compat and
-	// folded into the same schedule.
-	FailAtSuperstep int
 	// Faults schedules deterministic injected crashes for the Pregel
 	// backend — the chaos-test surface. Each entry fires once at its
 	// superstep and lifecycle point; the engine recovers from the latest
@@ -276,7 +260,7 @@ func (o Options) partition(g *graph.Graph) graph.Partitioner {
 
 // vectorizeAggregateInto reduces n resolved payload vectors into a single
 // destination's gas.Aggregated per the layer's reduce annotation — the
-// per-vertex gather of the Pregel backend's per-vertex and boxed planes.
+// per-vertex gather of the Pregel backend's per-vertex plane.
 // payload(i) returns the i-th incoming state vector (always exactly dim
 // long by construction: scatter builds payloads at the layer dim and the
 // combiners preserve length) and its folded contribution count. It fills

@@ -1,6 +1,7 @@
 package inference
 
 import (
+	"slices"
 	"testing"
 
 	"inferturbo/internal/datagen"
@@ -447,30 +448,41 @@ func TestThresholdHeuristic(t *testing.T) {
 	}
 }
 
-func TestCombineMsgsSemantics(t *testing.T) {
-	a := gnnMsg{Kind: msgState, Reduce: uint8(gas.ReduceMean), Count: 2, Payload: []float32{1, 2}}
-	b := gnnMsg{Kind: msgState, Reduce: uint8(gas.ReduceMean), Count: 1, Payload: []float32{3, 4}}
-	got, ok := combineMsgs(a, b)
-	if !ok || got.Count != 3 || got.Payload[0] != 4 || got.Payload[1] != 6 {
-		t.Fatalf("mean combine = %+v ok=%v", got, ok)
-	}
-	// Inputs must not be mutated (payloads can be shared across edges).
-	if a.Payload[0] != 1 || b.Payload[0] != 3 {
-		t.Fatal("combine mutated its inputs")
-	}
-	u := gnnMsg{Kind: msgState, Reduce: uint8(gas.ReduceUnion), Payload: []float32{1}}
-	if _, ok := combineMsgs(u, u); ok {
-		t.Fatal("union messages must not combine")
-	}
-	r := gnnMsg{Kind: msgBCRef}
-	if _, ok := combineMsgs(r, r); ok {
-		t.Fatal("refs must not combine")
-	}
-	mx := gnnMsg{Kind: msgState, Reduce: uint8(gas.ReduceMax), Payload: []float32{5, 0}}
-	my := gnnMsg{Kind: msgState, Reduce: uint8(gas.ReduceMax), Payload: []float32{1, 9}}
-	gotMax, ok := combineMsgs(mx, my)
-	if !ok || gotMax.Payload[0] != 5 || gotMax.Payload[1] != 9 {
-		t.Fatalf("max combine = %+v", gotMax)
+// TestCombineColumnarSemantics: the partial-gather combiner folds a state
+// payload into the accumulator row in place per the reduce carried in the
+// tag, adds the counts (keeping mean exact), never touches the incoming
+// payload, and declines union (GAT) and broadcast tags without modifying
+// anything.
+func TestCombineColumnarSemantics(t *testing.T) {
+	state := func(r gas.ReduceKind) uint8 { return colTag(msgState, uint8(r)) }
+	for _, tc := range []struct {
+		name       string
+		tag        uint8
+		acc, pay   []float32
+		accN, payN int32
+		ok         bool
+		want       []float32 // acc after the call
+		wantN      int32
+	}{
+		{"sum", state(gas.ReduceSum), []float32{1, 2}, []float32{3, -4}, 1, 1, true, []float32{4, -2}, 2},
+		{"mean", state(gas.ReduceMean), []float32{1, 2}, []float32{3, 4}, 2, 1, true, []float32{4, 6}, 3},
+		{"max", state(gas.ReduceMax), []float32{5, 0}, []float32{1, 9}, 1, 3, true, []float32{5, 9}, 4},
+		{"min", state(gas.ReduceMin), []float32{5, 0}, []float32{1, 9}, 2, 2, true, []float32{1, 0}, 4},
+		{"union declines", state(gas.ReduceUnion), []float32{1, 2}, []float32{3, 4}, 1, 1, false, []float32{1, 2}, 0},
+		{"broadcast ref declines", colTag(msgBCRef, uint8(gas.ReduceSum)), nil, nil, 1, 1, false, nil, 0},
+		{"broadcast payload declines", colTag(msgBCPayload, 0), []float32{1}, []float32{2}, 0, 0, false, []float32{1}, 0},
+	} {
+		acc, pay := slices.Clone(tc.acc), slices.Clone(tc.pay)
+		n, ok := combineColumnar(tc.tag, acc, pay, tc.accN, tc.payN)
+		if ok != tc.ok || (ok && n != tc.wantN) {
+			t.Fatalf("%s: combine = (%d, %v), want (%d, %v)", tc.name, n, ok, tc.wantN, tc.ok)
+		}
+		if !slices.Equal(acc, tc.want) {
+			t.Fatalf("%s: accumulator = %v, want %v", tc.name, acc, tc.want)
+		}
+		if !slices.Equal(pay, tc.pay) {
+			t.Fatalf("%s: combine mutated the incoming payload: %v", tc.name, pay)
+		}
 	}
 }
 

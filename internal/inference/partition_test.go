@@ -20,7 +20,7 @@ func communityDataset(t *testing.T, nodes int, skew datagen.Skew) *graph.Graph {
 
 // TestPlacementBitIdenticalPredictions is the tentpole invariant at the
 // driver level: logits are bit-identical across every placement strategy,
-// every compute/message plane, and every worker count — one shared
+// both compute planes, and every worker count — one shared
 // reference for all of them. (Partial-gather is excluded here: combining
 // regroups float sums per sender worker, so its guarantee is per-config
 // determinism plus plane equality, covered below and by the bench gate.)
@@ -37,9 +37,7 @@ func TestPlacementBitIdenticalPredictions(t *testing.T) {
 			base := Options{NumWorkers: workers, Partitioner: strat, Parallel: true}
 			perVertex := base
 			perVertex.PerVertexCompute = true
-			boxed := base
-			boxed.BoxedMessages = true
-			for plane, opts := range map[string]Options{"batched": base, "per-vertex": perVertex, "boxed": boxed} {
+			for plane, opts := range map[string]Options{"batched": base, "per-vertex": perVertex} {
 				res, err := RunPregel(m, g, opts)
 				if err != nil {
 					t.Fatalf("w%d/%s/%s: %v", workers, name, plane, err)
@@ -161,7 +159,7 @@ func TestCheckpointRecoveryWithLDG(t *testing.T) {
 	}
 	recovered, err := RunPregel(m, g, Options{
 		NumWorkers: 4, Partitioner: graph.LDG{},
-		CheckpointEvery: 1, FailAtSuperstep: 2,
+		CheckpointEvery: 1, Faults: crashBefore(2),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -87,7 +87,7 @@ func TestPipelinedPlacementBitIdentical(t *testing.T) {
 }
 
 // TestPipelinedRecoveryByteIdentical is the checkpoint/recovery acceptance
-// test for the pipelined plane: FailAtSuperstep mid-pipeline must replay
+// test for the pipelined plane: a crash partway through a run must replay
 // byte-identically on both compute planes. Checkpoints fall between
 // supersteps, after every in-flight sealed extent has drained into the
 // snapshotted inbox, so the snapshot's in-flight state is complete by
@@ -107,7 +107,7 @@ func TestPipelinedRecoveryByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		failing := opts
-		failing.FailAtSuperstep = 2
+		failing.Faults = crashBefore(2)
 		recovered, err := RunPregel(m, g, failing)
 		if err != nil {
 			t.Fatal(err)
@@ -122,15 +122,5 @@ func TestPipelinedRecoveryByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameRun(t, label+"/vs-bsp", bsp, recovered)
-	}
-}
-
-// TestPipelinedRejectsBoxed: the pipelined plane has no boxed form; the
-// driver reports the conflict instead of panicking deep in the engine.
-func TestPipelinedRejectsBoxed(t *testing.T) {
-	g := testGraph(t, datagen.SkewOut, 60)
-	m := sageModel(t)
-	if _, err := RunPregel(m, g, Options{NumWorkers: 2, Pipelined: true, BoxedMessages: true}); err == nil {
-		t.Fatal("expected an error for Pipelined+BoxedMessages")
 	}
 }

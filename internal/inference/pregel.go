@@ -18,57 +18,6 @@ const (
 	msgBCPayload              // broadcast payload addressed to a worker mailbox
 )
 
-// gnnMsg is the Pregel message. Payload carries a state vector; for
-// commutative reduces under partial-gather it may be a pre-aggregated sum
-// (Count tracks how many contributions it folds, keeping mean exact).
-type gnnMsg struct {
-	Kind    uint8
-	Reduce  uint8
-	Src     int32
-	Count   int32
-	Payload []float32
-}
-
-// combineMsgs is the boxed-plane Pregel combiner implementing
-// partial-gather: messages for the same destination merge on the sender
-// side when the consuming layer's reduce is commutative/associative. Union
-// messages (GAT) and broadcast refs decline. The first merge copies a's
-// payload (a view of the sending vertex's state, which must not be mutated)
-// into an accumulator the combiner owns — marked by Src == -1, so every
-// later merge for the same destination accumulates in place instead of
-// allocating a fresh payload.
-func combineMsgs(a, b gnnMsg) (gnnMsg, bool) {
-	if a.Kind != msgState || b.Kind != msgState || a.Reduce != b.Reduce {
-		return a, false
-	}
-	kind := gas.ReduceKind(a.Reduce)
-	if !kind.Commutative() {
-		return a, false
-	}
-	acc := a.Payload
-	if a.Src != -1 {
-		acc = make([]float32, len(a.Payload))
-		copy(acc, a.Payload)
-	}
-	switch kind {
-	case gas.ReduceSum, gas.ReduceMean:
-		for i, v := range b.Payload {
-			acc[i] += v
-		}
-	case gas.ReduceMax:
-		for i, v := range b.Payload {
-			acc[i] = max32(acc[i], v)
-		}
-	case gas.ReduceMin:
-		for i, v := range b.Payload {
-			acc[i] = min32(acc[i], v)
-		}
-	default:
-		return a, false
-	}
-	return gnnMsg{Kind: msgState, Reduce: a.Reduce, Src: -1, Count: a.Count + b.Count, Payload: acc}, true
-}
-
 // Columnar kind tags: the engine's opaque kind byte carries the message
 // kind in the low 2 bits and the reduce annotation above them, so the
 // engine's same-tag gate before combining already implies "both are state
@@ -101,8 +50,8 @@ func combineColumnar(tag uint8, acc, pay []float32, accCount, payCount int32) (i
 	return accCount + payCount, true
 }
 
-// columnarBytes prices a columnar message from its tag and arena extent,
-// matching the boxed MessageBytes exactly so IO stats are plane-invariant.
+// columnarBytes prices a columnar message from its tag and arena extent:
+// references cost refBytes, state messages their payload.
 func columnarBytes(tag uint8, payloadLen int) int {
 	if tag&3 == msgBCRef {
 		return refBytes
@@ -133,22 +82,20 @@ type vtxValue struct {
 }
 
 // pregelDriver executes a gas.Model layer-by-layer on the Pregel engine. It
-// runs on the engine's batched compute plane over columnar messages by
-// default: each worker's vertex states live in one row-major tensor.Matrix
-// slab, gather is one fused segment-reduce over the partition's whole CSR
-// inbox, and apply is a single (N_local x D) @ (D x D') MatMul per layer —
-// the dense-kernel data flow of the paper's pipeline, exercising the
-// parallel tensor kernels (see pregel_batched.go). The classic per-vertex
-// plane stays available behind Options.PerVertexCompute, and the boxed
-// message plane (which is always per-vertex) behind Options.BoxedMessages;
-// all three produce bit-identical predictions and IO stats.
+// runs on the engine's batched compute plane by default: each worker's
+// vertex states live in one row-major tensor.Matrix slab, gather is one
+// fused segment-reduce over the partition's whole CSR inbox, and apply is a
+// single (N_local x D) @ (D x D') MatMul per layer — the dense-kernel data
+// flow of the paper's pipeline, exercising the parallel tensor kernels (see
+// pregel_batched.go). The classic per-vertex plane stays available behind
+// Options.PerVertexCompute; both produce bit-identical predictions and IO
+// stats.
 type pregelDriver struct {
 	model     *gas.Model
 	sg        *ShadowGraph
 	opts      Options
 	threshold int
 	part      graph.Partitioner
-	columnar  bool
 	batched   bool
 
 	// Per-worker scratch (indexed by worker id; each worker touches only
@@ -220,7 +167,7 @@ func (d *pregelDriver) seenScratch(w int) []bool {
 // Compute implements pregel.VertexProgram: superstep 0 initializes and
 // scatters h^0; superstep k applies layer k-1; the final superstep attaches
 // the prediction and halts.
-func (d *pregelDriver) Compute(ctx *pregel.Context[vtxValue, gnnMsg], msgs []gnnMsg) {
+func (d *pregelDriver) Compute(ctx *pregel.Context[vtxValue]) {
 	k := ctx.Superstep
 	numLayers := d.model.NumLayers()
 	if k == 0 {
@@ -228,7 +175,7 @@ func (d *pregelDriver) Compute(ctx *pregel.Context[vtxValue, gnnMsg], msgs []gnn
 		// raw node states into initial embeddings" is the identity here —
 		// feature encoders would slot in at this point).
 		ctx.Value.h = d.sg.G.Features.Row(int(ctx.ID))
-		d.scatter(ctx, 0)
+		d.scatterColumnar(ctx, ctx.WorkerID(), ctx.ID, ctx.Value.h, 0)
 		return
 	}
 
@@ -238,16 +185,8 @@ func (d *pregelDriver) Compute(ctx *pregel.Context[vtxValue, gnnMsg], msgs []gnn
 	}
 	pool := d.pools[ctx.WorkerID()]
 	state := d.stateMat(ctx.WorkerID(), ctx.Value.h)
-	var aggr *gas.Aggregated
-	var received int
-	if d.columnar {
-		in := ctx.ColumnarInbox()
-		received = in.Len()
-		aggr = d.gatherColumnar(ctx, layer, in, pool)
-	} else {
-		received = len(msgs)
-		aggr = d.gatherStage(ctx, layer, msgs, pool)
-	}
+	in := ctx.ColumnarInbox()
+	aggr := d.gatherColumnar(ctx, layer, in, pool)
 	out := gas.ApplyNodePooled(layer, state, aggr, pool)
 	next := d.nextHRow(ctx, out.Cols)
 	copy(next, out.Row(0))
@@ -260,7 +199,7 @@ func (d *pregelDriver) Compute(ctx *pregel.Context[vtxValue, gnnMsg], msgs []gnn
 	}
 	pool.Put(out)
 	releaseAggregated(pool, aggr)
-	ctx.AddCost(layerNodeFlops(layer) + int64(received)*layerMsgFlops(layer))
+	ctx.AddCost(layerNodeFlops(layer) + int64(in.Len())*layerMsgFlops(layer))
 
 	if k == numLayers {
 		// Last superstep: the prediction slice of the model is attached
@@ -268,19 +207,19 @@ func (d *pregelDriver) Compute(ctx *pregel.Context[vtxValue, gnnMsg], msgs []gnn
 		ctx.VoteToHalt()
 		return
 	}
-	d.scatter(ctx, k)
+	d.scatterColumnar(ctx, ctx.WorkerID(), ctx.ID, ctx.Value.h, k)
 }
 
 // nextHRow returns the row the current vertex's next state is written to,
 // carved from the worker's per-superstep slab — one pool draw per worker
 // per superstep instead of one allocation per vertex. The first Compute of
-// a worker's superstep rotates generations: the slab whose rows no message
-// or apply can still reference (gen k-2; gen k-1 backs this superstep's
-// reads and any in-flight boxed payloads) returns to the worker pool.
+// a worker's superstep rotates generations: the slab whose rows no apply
+// can still reference (gen k-2; gen k-1 backs this superstep's reads)
+// returns to the worker pool.
 // Under checkpointing the retired slab is dropped to the GC instead: every
 // generation is written exactly once, so engine snapshots — which alias
 // value slices into these rows — stay intact for replay.
-func (d *pregelDriver) nextHRow(ctx *pregel.Context[vtxValue, gnnMsg], cols int) []float32 {
+func (d *pregelDriver) nextHRow(ctx *pregel.Context[vtxValue], cols int) []float32 {
 	w := ctx.WorkerID()
 	s := &d.hSlabs[w]
 	if d.hStep[w] != ctx.ExecSeq() {
@@ -297,41 +236,14 @@ func (d *pregelDriver) nextHRow(ctx *pregel.Context[vtxValue, gnnMsg], cols int)
 	return row
 }
 
-// gatherStage is gather_nbrs + aggregate: vectorize received messages
-// (resolving broadcast references through the worker's broadcast index) and
-// reduce them per the layer's annotation. Aggregate buffers come from the
-// worker's pool; the caller releases them via releaseAggregated once
-// apply_node is done.
-func (d *pregelDriver) gatherStage(ctx *pregel.Context[vtxValue, gnnMsg], layer gas.Conv, msgs []gnnMsg, pool *tensor.Pool) *gas.Aggregated {
-	table := d.bcBoxed(ctx)
-	dim := layer.InDim()
-
-	resolve := func(m gnnMsg) ([]float32, int32) {
-		switch m.Kind {
-		case msgState:
-			return m.Payload, m.Count
-		case msgBCRef:
-			p, ok := table.get(m.Src)
-			if !ok {
-				panic(fmt.Sprintf("inference: broadcast payload for node %d missing on worker %d", m.Src, ctx.WorkerID()))
-			}
-			return p, 1
-		default:
-			panic(fmt.Sprintf("inference: unexpected message kind %d at vertex", m.Kind))
-		}
-	}
-
-	return vectorizeAggregateInto(&d.aggrs[ctx.WorkerID()], layer.Reduce(), dim, len(msgs), func(i int) ([]float32, int32) {
-		return resolve(msgs[i])
-	}, pool)
-}
-
-// gatherColumnar is gatherStage for the columnar plane: message fields are
-// read straight out of the inbox's column views (payloads are arena
-// extents, never re-boxed), with broadcast references resolved through the
-// broadcast index.
-func (d *pregelDriver) gatherColumnar(ctx *pregel.Context[vtxValue, gnnMsg], layer gas.Conv, in pregel.Batch, pool *tensor.Pool) *gas.Aggregated {
-	table := d.bcColumnar(ctx.WorkerID(), ctx.ExecSeq(), ctx.ColumnarWorkerMail())
+// gatherColumnar is gather_nbrs + aggregate for one vertex: message fields
+// are read straight out of the inbox's column views (payloads are arena
+// extents, never copied), with broadcast references resolved through the
+// worker's broadcast index, and reduced per the layer's annotation.
+// Aggregate buffers come from the worker's pool; the caller releases them
+// via releaseAggregated once apply_node is done.
+func (d *pregelDriver) gatherColumnar(ctx *pregel.Context[vtxValue], layer gas.Conv, in pregel.Batch, pool *tensor.Pool) *gas.Aggregated {
+	table := d.bcColumnar(ctx.WorkerID(), ctx.ExecSeq(), ctx.ColumnarMailbox())
 	dim := layer.InDim()
 	return vectorizeAggregateInto(&d.aggrs[ctx.WorkerID()], layer.Reduce(), dim, in.Len(), func(i int) ([]float32, int32) {
 		switch in.Kinds[i] & 3 {
@@ -349,31 +261,13 @@ func (d *pregelDriver) gatherColumnar(ctx *pregel.Context[vtxValue, gnnMsg], lay
 	}, pool)
 }
 
-// bcBoxed lazily rebuilds worker w's broadcast index for the current
-// superstep from its boxed mailbox. Both rebuild caches key on ExecSeq, not
-// Superstep: a checkpoint-recovery replay revisits superstep numbers with
-// rebuilt mailboxes, and the pre-failure payload views would point into
-// recycled storage.
-func (d *pregelDriver) bcBoxed(ctx *pregel.Context[vtxValue, gnnMsg]) *bcIndex {
-	w := ctx.WorkerID()
-	t := &d.bcTabs[w]
-	if d.bcStep[w] == ctx.ExecSeq() {
-		return t
-	}
-	t.reset()
-	n := d.sg.G.NumNodes
-	for _, m := range ctx.WorkerMail() {
-		if m.Kind == msgBCPayload {
-			t.put(n, m.Src, m.Payload)
-		}
-	}
-	d.bcStep[w] = ctx.ExecSeq()
-	return t
-}
-
-// bcColumnar is bcBoxed over a columnar mailbox; shared by the per-vertex
-// and batched planes. The index holds zero-copy payload views valid for the
-// current superstep only.
+// bcColumnar lazily rebuilds worker w's broadcast index for the current
+// superstep from its mailbox; shared by the per-vertex and batched planes.
+// The index holds zero-copy payload views valid for the current superstep
+// only. The rebuild cache keys on ExecSeq, not Superstep: a
+// checkpoint-recovery replay revisits superstep numbers with rebuilt
+// mailboxes, and the pre-failure payload views would point into recycled
+// storage.
 func (d *pregelDriver) bcColumnar(w, execSeq int, mail pregel.Batch) *bcIndex {
 	t := &d.bcTabs[w]
 	if d.bcStep[w] == execSeq {
@@ -401,80 +295,11 @@ type colSender interface {
 	SendColumnarToWorker(w int, kind uint8, src, count int32, payload []float32)
 }
 
-// scatter is apply_edge + scatter_nbrs for the messages consumed by
-// sendLayer = Layers[k] in the next superstep, applying the broadcast
-// strategy for eligible hub nodes. The columnar plane (both compute planes)
-// goes through scatterColumnar; the boxed branch below differs in payload
-// ownership only: identity payloads are shared (the combiner copies before
-// mutating) and edge-dependent or degree-scaled payloads are fresh slices
-// because the boxed message owns its slice across the superstep.
-func (d *pregelDriver) scatter(ctx *pregel.Context[vtxValue, gnnMsg], k int) {
-	if d.columnar {
-		d.scatterColumnar(ctx, ctx.WorkerID(), ctx.ID, ctx.Value.h, k)
-		return
-	}
-	sendLayer := d.model.Layers[k]
-	h := ctx.Value.h
-	dsts, eids := ctx.OutEdges()
-	if ms, ok := sendLayer.(gas.MessageScaler); ok {
-		// Degree-scaled wire messages (GCN). Mirrors scale by the original
-		// node's out-degree so shadow-nodes stays result-neutral.
-		h = ms.ScaleMessage(h, int(d.sg.OrigOutDeg[ctx.ID]))
-	}
-	reduce := uint8(sendLayer.Reduce())
-
-	if d.opts.Broadcast && sendLayer.BroadcastSafe() && len(dsts) > d.threshold {
-		d.bcHubs[ctx.WorkerID()]++
-		// One payload per destination worker...
-		seen := d.seenScratch(ctx.WorkerID())
-		for _, dst := range dsts {
-			seen[d.part.WorkerFor(dst)] = true
-		}
-		for w, ok := range seen {
-			if ok {
-				ctx.SendToWorker(w, gnnMsg{Kind: msgBCPayload, Src: ctx.ID, Payload: h})
-			}
-		}
-		// ...and a lightweight, payload-free reference along every out-edge.
-		ref := gnnMsg{Kind: msgBCRef, Src: ctx.ID, Reduce: reduce}
-		for _, dst := range dsts {
-			ctx.SendMessage(dst, ref)
-		}
-		return
-	}
-
-	if sendLayer.BroadcastSafe() {
-		// apply_edge is the identity: the vertex state is the payload for
-		// every out-edge.
-		m := gnnMsg{Kind: msgState, Reduce: reduce, Src: ctx.ID, Count: 1, Payload: h}
-		for _, dst := range dsts {
-			ctx.SendMessage(dst, m)
-		}
-		return
-	}
-	// Edge-dependent messages: run apply_edge per out-edge. The result is
-	// pool-drawn and recycled as soon as the message has its own copy.
-	state := d.stateMat(ctx.WorkerID(), h)
-	pool := d.pools[ctx.WorkerID()]
-	for i, dst := range dsts {
-		var ef *tensor.Matrix
-		if d.sg.G.EdgeFeatures != nil {
-			ef = d.edgeMat(ctx.WorkerID(), int(eids[i]))
-		}
-		payload := gas.ApplyEdgePooled(sendLayer, state, ef, pool)
-		out := make([]float32, payload.Cols)
-		copy(out, payload.Row(0))
-		ctx.SendMessage(dst, gnnMsg{Kind: msgState, Reduce: reduce, Src: ctx.ID, Count: 1, Payload: out})
-		if payload != state {
-			pool.Put(payload)
-		}
-	}
-}
-
-// scatterColumnar scatters one vertex's messages on the columnar plane: the
-// strategy logic (degree scaling, hub decision, destination-worker dedup,
-// per-edge apply_edge with pooled results) shared by the per-vertex and
-// batched compute planes. Every send copies its payload into the arena, so
+// scatterColumnar is apply_edge + scatter_nbrs for one vertex's messages
+// consumed by sendLayer = Layers[k] in the next superstep: the strategy
+// logic (degree scaling, hub decision, destination-worker dedup, per-edge
+// apply_edge with pooled results) shared by the per-vertex and batched
+// compute planes. Every send copies its payload into the arena, so
 // h — including the degree-scaled scratch row — stays reusable the moment
 // the call returns.
 func (d *pregelDriver) scatterColumnar(send colSender, w int, v int32, h []float32, k int) {
@@ -558,9 +383,6 @@ func RunPregel(model *gas.Model, g *graph.Graph, opts Options) (*Result, error) 
 	if err := validateModelGraph(model, g); err != nil {
 		return nil, err
 	}
-	if opts.Pipelined && opts.BoxedMessages {
-		return nil, fmt.Errorf("inference: Pipelined requires the columnar message plane (unset BoxedMessages)")
-	}
 	if opts.captureLayers != nil && opts.ShadowNodes {
 		return nil, fmt.Errorf("inference: layer capture is incompatible with ShadowNodes")
 	}
@@ -591,8 +413,7 @@ func RunPregel(model *gas.Model, g *graph.Graph, opts Options) (*Result, error) 
 		opts:      opts,
 		threshold: threshold,
 		part:      opts.partition(sg.G),
-		columnar:  !opts.BoxedMessages,
-		batched:   !opts.BoxedMessages && !opts.PerVertexCompute,
+		batched:   !opts.PerVertexCompute,
 		bcTabs:    make([]bcIndex, opts.NumWorkers),
 		bcStep:    make([]int, opts.NumWorkers),
 		bcHubs:    make([]int64, opts.NumWorkers),
@@ -615,7 +436,7 @@ func RunPregel(model *gas.Model, g *graph.Graph, opts Options) (*Result, error) 
 		driver.pools[i] = tensor.NewPool()
 	}
 
-	cfg := pregel.Config[gnnMsg]{
+	cfg := pregel.Config{
 		NumWorkers:       opts.NumWorkers,
 		Partitioner:      driver.part,
 		MaxSupersteps:    model.NumLayers() + 1,
@@ -625,44 +446,31 @@ func RunPregel(model *gas.Model, g *graph.Graph, opts Options) (*Result, error) 
 		ChunkSize:        opts.PipelineChunk,
 		PipelineDepth:    opts.PipelineDepth,
 		CheckpointEvery:  opts.CheckpointEvery,
-		FailAtSuperstep:  opts.FailAtSuperstep,
 		Faults:           opts.Faults,
 		PipelineWatchdog: opts.PipelineWatchdog,
 		SuperstepHook:    opts.SuperstepHook,
 		Cancel:           opts.Cancel,
 	}
-	if driver.columnar {
-		ops := &pregel.ColumnarOps{Bytes: columnarBytes}
-		if opts.PartialGather {
-			ops.Combine = combineColumnar
-		}
-		// Pre-size send buffers for the expected steady state: one message
-		// per edge spreads edges/workers² headers per sender→receiver pair.
-		// Fanned identity payloads dedup the arena well below msgs × dim, so
-		// the float reserve stays at half that bound.
-		maxDim := model.InDim()
-		for _, l := range model.Layers {
-			if l.OutDim() > maxDim {
-				maxDim = l.OutDim()
-			}
-		}
-		perBuf := sg.G.NumEdges/(opts.NumWorkers*opts.NumWorkers) + 1
-		ops.ReserveMsgs = perBuf
-		ops.ReserveFloats = perBuf*maxDim/2 + maxDim
-		cfg.Columnar = ops
-	} else {
-		cfg.MessageBytes = func(m gnnMsg) int {
-			if m.Kind == msgBCRef {
-				return refBytes
-			}
-			return payloadBytes(len(m.Payload))
-		}
-		if opts.PartialGather {
-			cfg.Combiner = combineMsgs
+	ops := &pregel.ColumnarOps{Bytes: columnarBytes}
+	if opts.PartialGather {
+		ops.Combine = combineColumnar
+	}
+	// Pre-size send buffers for the expected steady state: one message per
+	// edge spreads edges/workers² headers per sender→receiver pair. Fanned
+	// identity payloads dedup the arena well below msgs × dim, so the float
+	// reserve stays at half that bound.
+	maxDim := model.InDim()
+	for _, l := range model.Layers {
+		if l.OutDim() > maxDim {
+			maxDim = l.OutDim()
 		}
 	}
+	perBuf := sg.G.NumEdges/(opts.NumWorkers*opts.NumWorkers) + 1
+	ops.ReserveMsgs = perBuf
+	ops.ReserveFloats = perBuf*maxDim/2 + maxDim
+	cfg.Columnar = ops
 
-	eng := pregel.NewEngine[vtxValue, gnnMsg](pregel.GraphTopology{G: sg.G}, driver, cfg)
+	eng := pregel.NewEngine[vtxValue](pregel.GraphTopology{G: sg.G}, driver, cfg)
 	resumed := false
 	if opts.CheckpointDir != "" {
 		store, err := checkpoint.NewStore(opts.CheckpointDir)
@@ -730,7 +538,7 @@ func RunPregel(model *gas.Model, g *graph.Graph, opts Options) (*Result, error) 
 }
 
 // pregelStats converts engine metrics into run stats and cluster phases.
-func pregelStats(eng *pregel.Engine[vtxValue, gnnMsg], driver *pregelDriver, model *gas.Model, sg *ShadowGraph, opts Options) (Stats, []cluster.Phase) {
+func pregelStats(eng *pregel.Engine[vtxValue], driver *pregelDriver, model *gas.Model, sg *ShadowGraph, opts Options) (Stats, []cluster.Phase) {
 	resident := residentBytes(sg.G, driver.part, model, opts.NumWorkers)
 	st, phases := statsFromMetrics(eng.Metrics(), eng.Supersteps(), model, resident, opts.NumWorkers)
 	st.ShadowMirrors = int64(sg.Mirrors)
@@ -758,7 +566,7 @@ func residentBytes(g *graph.Graph, part graph.Partitioner, model *gas.Model, num
 
 // statsFromMetrics converts engine step metrics into run stats and cluster
 // phases — shared by the one-shot drivers and the incremental Session's
-// delta passes (whose engine is instantiated over different type parameters,
+// delta passes (whose engine is instantiated over a different value type,
 // hence the plain-metrics signature).
 func statsFromMetrics(metrics [][]pregel.StepMetrics, supersteps int, model *gas.Model, resident []int64, numWorkers int) (Stats, []cluster.Phase) {
 	st := Stats{

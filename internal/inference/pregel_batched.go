@@ -39,7 +39,7 @@ import (
 // feature slab and scatters h^0; superstep k applies layer k-1 to the whole
 // partition; the final superstep halts every vertex, leaving the logits in
 // the state slabs for RunPregel to collect.
-func (d *pregelDriver) ComputeBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg]) {
+func (d *pregelDriver) ComputeBatch(ctx *pregel.BatchContext[vtxValue]) {
 	w, k := ctx.WorkerID(), ctx.Superstep
 	owned := ctx.Owned()
 	numLayers := d.model.NumLayers()
@@ -92,7 +92,7 @@ func (d *pregelDriver) ComputeBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg]) 
 // into an N_local x D aggregate. No payload is copied for pooled reduces —
 // the kernels read the arena extents in place, in delivery order, exactly
 // the order the per-vertex vectorizeAggregateInto folds.
-func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], layer gas.Conv, off []int32, in pregel.Batch) *gas.Aggregated {
+func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue], layer gas.Conv, off []int32, in pregel.Batch) *gas.Aggregated {
 	w := ctx.WorkerID()
 	pool := d.pools[w]
 	n := in.Len()
@@ -111,7 +111,7 @@ func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], l
 			}
 		}
 		if hasRef {
-			table := d.bcColumnar(w, ctx.ExecSeq(), ctx.ColumnarWorkerMail())
+			table := d.bcColumnar(w, ctx.ExecSeq(), ctx.ColumnarMailbox())
 			rp, rc := d.resPays[w], d.resCounts[w]
 			if cap(rp) < n {
 				rp = make([][]float32, n)
@@ -150,7 +150,7 @@ func (d *pregelDriver) gatherBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], l
 // the walk seals and flushes at the engine's chunk cadence (the same cadence
 // the per-vertex plane seals at automatically), letting receivers assemble
 // this partition's extents while later rows are still scattering.
-func (d *pregelDriver) scatterBatch(ctx *pregel.BatchContext[vtxValue, gnnMsg], k int) {
+func (d *pregelDriver) scatterBatch(ctx *pregel.BatchContext[vtxValue], k int) {
 	w := ctx.WorkerID()
 	st := d.states[w]
 	chunk := ctx.ChunkSize() // 0 off the pipelined plane

@@ -69,10 +69,9 @@ type Session struct {
 // NewSession validates the model/graph pair and the options. The strategy
 // and durability knobs that assume a one-shot run are rejected: skew
 // strategies rewrite the executed graph or change the message mix
-// (ShadowNodes, Broadcast, PartialGather), BoxedMessages has no batched
-// plane to keep slabs in, OutDegrees/EmitEmbeddings target the subgraph
-// path, and durable cross-process resume (CheckpointDir/Resume) cannot
-// replay the capture of supersteps that never re-execute. In-process fault
+// (ShadowNodes, Broadcast, PartialGather), OutDegrees/EmitEmbeddings target
+// the subgraph path, and durable cross-process resume (CheckpointDir/Resume)
+// cannot replay the capture of supersteps that never re-execute. In-process fault
 // tolerance (CheckpointEvery, Faults) is fully supported on both planes.
 func NewSession(model *gas.Model, g *graph.Graph, opts Options) (*Session, error) {
 	opts = opts.withDefaults()
@@ -83,7 +82,6 @@ func NewSession(model *gas.Model, g *graph.Graph, opts Options) (*Session, error
 		"PartialGather":  opts.PartialGather,
 		"Broadcast":      opts.Broadcast,
 		"ShadowNodes":    opts.ShadowNodes,
-		"BoxedMessages":  opts.BoxedMessages,
 		"OutDegrees":     opts.OutDegrees != nil,
 		"EmitEmbeddings": opts.EmitEmbeddings,
 		"CheckpointDir":  opts.CheckpointDir != "",
@@ -248,7 +246,7 @@ func (s *Session) deltaPass(frontier []int32) (*Result, error) {
 	part := o.partition(s.g)
 	driver := newDeltaDriver(s.model, s.g, s.gi, s.layers, s.msgs, s.scaled,
 		s.pendState, s.pendInbox, s.pendPinned, s.dirtyStep, o.NumWorkers)
-	cfg := pregel.Config[deltaPing]{
+	cfg := pregel.Config{
 		NumWorkers:       o.NumWorkers,
 		Partitioner:      part,
 		MaxSupersteps:    s.model.NumLayers() + 1,
@@ -258,7 +256,6 @@ func (s *Session) deltaPass(frontier []int32) (*Result, error) {
 		ChunkSize:        o.PipelineChunk,
 		PipelineDepth:    o.PipelineDepth,
 		CheckpointEvery:  o.CheckpointEvery,
-		FailAtSuperstep:  o.FailAtSuperstep,
 		Faults:           o.Faults,
 		PipelineWatchdog: o.PipelineWatchdog,
 		SuperstepHook:    o.SuperstepHook,
@@ -267,7 +264,7 @@ func (s *Session) deltaPass(frontier []int32) (*Result, error) {
 		// Pings are headers-only; reserves stay minimal.
 		Columnar: &pregel.ColumnarOps{Bytes: columnarBytes, ReserveMsgs: len(frontier)/o.NumWorkers + 1},
 	}
-	eng := pregel.NewEngine[deltaVtx, deltaPing](pregel.GraphTopology{G: s.g}, driver, cfg)
+	eng := pregel.NewEngine[deltaVtx](pregel.GraphTopology{G: s.g}, driver, cfg)
 	if err := eng.Run(); err != nil {
 		return nil, err
 	}

@@ -293,7 +293,6 @@ func TestSessionRejectsUnsupported(t *testing.T) {
 		{PartialGather: true},
 		{Broadcast: true},
 		{ShadowNodes: true},
-		{BoxedMessages: true},
 		{OutDegrees: make([]int32, g.NumNodes)},
 		{EmitEmbeddings: true},
 		{CheckpointDir: t.TempDir()},

@@ -23,11 +23,11 @@ func newBatchSumProg(rounds, workers int) *batchSumProg {
 }
 
 // Compute satisfies VertexProgram; the engine never calls it in batched mode.
-func (p *batchSumProg) Compute(*Context[float32, [3]float32], [][3]float32) {
+func (p *batchSumProg) Compute(*Context[float32]) {
 	panic("batchSumProg: per-vertex Compute on the batched plane")
 }
 
-func (p *batchSumProg) ComputeBatch(ctx *BatchContext[float32, [3]float32]) {
+func (p *batchSumProg) ComputeBatch(ctx *BatchContext[float32]) {
 	w := ctx.WorkerID()
 	owned := ctx.Owned()
 	if ctx.Superstep == 0 {
@@ -82,14 +82,14 @@ func (p *batchSumProg) RestoreProgState(snap any) {
 	}
 }
 
-func runBatchSum(t *testing.T, topo Topology, workers int, combine, parallel bool) (*Engine[float32, [3]float32], []float32) {
+func runBatchSum(t *testing.T, topo Topology, workers int, combine, parallel bool) (*Engine[float32], []float32) {
 	t.Helper()
 	ops := &ColumnarOps{}
 	if combine {
 		ops.Combine = colSumCombiner
 	}
-	cfg := Config[[3]float32]{NumWorkers: workers, Parallel: parallel, Columnar: ops, Batched: true}
-	eng := NewEngine[float32, [3]float32](topo, newBatchSumProg(4, workers), cfg)
+	cfg := Config{NumWorkers: workers, Parallel: parallel, Columnar: ops, Batched: true}
+	eng := NewEngine[float32](topo, newBatchSumProg(4, workers), cfg)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,13 +129,13 @@ func TestBatchedMatchesPerVertex(t *testing.T) {
 // the engine to checkpoint the program-owned slabs through ProgramStater.
 func TestBatchedRecoveryByteIdentical(t *testing.T) {
 	topo := randomTopology(t, 70, 300, 21)
-	run := func(failAt int) ([]float32, int) {
-		eng := NewEngine[float32, [3]float32](topo, newBatchSumProg(6, 4), Config[[3]float32]{
+	run := func(faults *FaultPlan) ([]float32, int) {
+		eng := NewEngine[float32](topo, newBatchSumProg(6, 4), Config{
 			NumWorkers:      4,
 			Parallel:        true,
 			MaxSupersteps:   10,
 			CheckpointEvery: 2,
-			FailAtSuperstep: failAt,
+			Faults:          faults,
 			Columnar:        &ColumnarOps{Combine: colSumCombiner},
 			Batched:         true,
 		})
@@ -144,11 +144,11 @@ func TestBatchedRecoveryByteIdentical(t *testing.T) {
 		}
 		return append([]float32(nil), eng.Values()...), eng.Recoveries()
 	}
-	clean, rec0 := run(0)
+	clean, rec0 := run(nil)
 	if rec0 != 0 {
 		t.Fatal("clean run must not recover")
 	}
-	failed, rec1 := run(5) // fails one superstep past the step-4 checkpoint
+	failed, rec1 := run(crashBefore(5)) // fails one superstep past the step-4 checkpoint
 	if rec1 != 1 {
 		t.Fatalf("recoveries = %d, want 1", rec1)
 	}
@@ -159,26 +159,13 @@ func TestBatchedRecoveryByteIdentical(t *testing.T) {
 	}
 }
 
-// TestBatchedConfigMisuse: the batched plane requires the columnar plane and
-// a BatchProgram; both misconfigurations panic at construction.
+// TestBatchedConfigMisuse: the batched plane requires a BatchProgram; a
+// per-vertex-only program panics at construction.
 func TestBatchedConfigMisuse(t *testing.T) {
-	topo := ringTopology(t, 4)
-	expectPanic := func(name string, build func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		build()
-	}
-	expectPanic("batched without columnar", func() {
-		NewEngine[float32, [3]float32](topo, newBatchSumProg(2, 2), Config[[3]float32]{
-			NumWorkers: 2, Batched: true,
-		})
-	})
-	expectPanic("batched without BatchProgram", func() {
-		NewEngine[float32, [3]float32](topo, &colSumProg{rounds: 2}, Config[[3]float32]{
-			NumWorkers: 2, Batched: true, Columnar: &ColumnarOps{},
-		})
-	})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("batched without BatchProgram: expected panic")
+		}
+	}()
+	NewEngine[float32](ringTopology(t, 4), &colSumProg{rounds: 2}, Config{NumWorkers: 2, Batched: true})
 }

@@ -1,8 +1,8 @@
 package pregel
 
-// The columnar message plane: instead of boxing every message as an M value
-// with its own heap-allocated payload, batched programs append payloads into
-// flat []float32 arenas alongside parallel dst/kind/src/count columns. One
+// The message plane: instead of boxing every message as a value with its own
+// heap-allocated payload, programs append payloads into flat []float32
+// arenas alongside parallel dst/kind/src/count columns. One
 // send buffer exists per (sender, receiver) worker pair and recycles across
 // supersteps through a free list, so a steady-state superstep performs no
 // per-message allocation: the cost of messaging scales with the bytes moved,
@@ -21,21 +21,20 @@ package pregel
 // snapshots are immutable after capture; every writer (send append, combine,
 // recycle) targets engine-owned buffers only.
 
-// ColumnarOps opts a vertex program into the columnar message plane (set
-// Config.Columnar to a non-nil value). In columnar mode the program sends
-// with Context.SendColumnar / SendColumnarToWorker and reads with
-// Context.ColumnarInbox / ColumnarWorkerMail; Compute's msgs argument is
-// always nil, and Config.Combiner / Config.MessageBytes are ignored.
+// ColumnarOps tunes the message plane (Config.Columnar; nil selects the
+// zero value). Programs send with Context.SendColumnar / SendColumnarFan /
+// SendColumnarToWorker and read with Context.ColumnarInbox /
+// ColumnarMailbox (or BatchContext.InboxCSR on the batched plane).
 type ColumnarOps struct {
 	// Combine merges an in-flight payload into the arena row acc of an
 	// earlier message for the same destination, in place — Pregel's
-	// sender-side combining without the boxed path's per-merge allocation.
-	// It is only invoked when the two messages carry the same kind byte and
-	// payload length; acc and pay are both payLen long. Returning the merged
+	// sender-side combining without a per-merge allocation. It is only
+	// invoked when the two messages carry the same kind byte and payload
+	// length; acc and pay are both payLen long. Returning the merged
 	// count and true commits the merge; returning false declines it, leaving
 	// both messages to be delivered individually (later messages for the
-	// same destination still attempt to merge with the first one, matching
-	// the boxed combiner's behaviour). nil disables combining.
+	// same destination still attempt to merge with the first one). nil
+	// disables combining.
 	Combine func(kind uint8, acc, pay []float32, accCount, payCount int32) (int32, bool)
 	// Bytes estimates the wire size of a message from its kind byte and
 	// payload length, feeding the IO accounting. Defaults to 4*payloadLen+16
@@ -53,7 +52,7 @@ type ColumnarOps struct {
 }
 
 // Batch is a zero-copy columnar view of the messages addressed to one
-// vertex (Context.ColumnarInbox) or one worker (Context.ColumnarWorkerMail).
+// vertex (Context.ColumnarInbox) or one worker (Context.ColumnarMailbox).
 // All columns share indexing; Payloads entries are views into message
 // arenas, valid only for the duration of the current superstep and never to
 // be mutated.
@@ -136,9 +135,8 @@ func (b *colBuf) payload(i int) []float32 {
 // the PR 2 hot path. Shared rows — a fan extent other rows may alias —
 // first materialize a private copy at the arena tail, so the combine cannot
 // corrupt sibling messages or the pristine payload later aliases read; the
-// materialized row is exclusive from then on. This is the arena form of the
-// boxed combiner's copy-on-first-merge, and it produces the same merged
-// values: the fold runs on an identical copy of the same accumulator.
+// materialized row is exclusive from then on. The merged values are those
+// of an in-place fold: it runs on an identical copy of the same accumulator.
 func (b *colBuf) mergeTarget(i int32) []float32 {
 	if !b.shared[i] {
 		return b.payload(int(i))

@@ -1,49 +1,22 @@
 package pregel
 
 import (
+	"slices"
 	"testing"
 
 	"inferturbo/internal/graph"
 )
 
-// Plane-equivalence programs: the same integer-valued computation expressed
-// once over boxed [3]float32 messages and once over the columnar plane.
-// Payload layout is [value, srcID, count]; every quantity stays an integer
-// well below 2^24, so float32 arithmetic is exact and any divergence
-// between the planes (or across worker counts) is a real delivery bug, not
-// rounding.
+// The sum program: an integer-valued computation over [value, srcID, count]
+// payloads. Every quantity stays an integer well below 2^24, so float32
+// arithmetic is exact and any divergence from the sequential reference (or
+// across worker counts) is a real delivery bug, not rounding.
 
 const sumMod = 9973
 
-type boxedSumProg struct{ rounds int }
-
-func (p *boxedSumProg) Compute(ctx *Context[float32, [3]float32], msgs [][3]float32) {
-	if ctx.Superstep == 0 {
-		*ctx.Value = float32(int(ctx.ID)%7 + 1)
-	} else {
-		var s float32
-		for _, m := range msgs {
-			s += m[0] + m[2]
-		}
-		*ctx.Value = float32(int(s) % sumMod)
-	}
-	if ctx.Superstep >= p.rounds {
-		ctx.VoteToHalt()
-		return
-	}
-	dsts, _ := ctx.OutEdges()
-	for _, d := range dsts {
-		ctx.SendMessage(d, [3]float32{*ctx.Value, float32(ctx.ID), 1})
-	}
-}
-
-func boxedSumCombiner(a, b [3]float32) ([3]float32, bool) {
-	return [3]float32{a[0] + b[0], a[1] + b[1], a[2] + b[2]}, true
-}
-
 type colSumProg struct{ rounds int }
 
-func (p *colSumProg) Compute(ctx *Context[float32, [3]float32], _ [][3]float32) {
+func (p *colSumProg) Compute(ctx *Context[float32]) {
 	if ctx.Superstep == 0 {
 		*ctx.Value = float32(int(ctx.ID)%7 + 1)
 	} else {
@@ -72,64 +45,100 @@ func colSumCombiner(_ uint8, acc, pay []float32, accCount, payCount int32) (int3
 	return accCount + payCount, true
 }
 
-func runBoxedSum(t *testing.T, topo Topology, workers int, combine, parallel bool) (*Engine[float32, [3]float32], []float32) {
-	t.Helper()
-	cfg := Config[[3]float32]{
-		NumWorkers:   workers,
-		Parallel:     parallel,
-		MessageBytes: func(m [3]float32) int { return 4*len(m) + 16 },
-	}
-	if combine {
-		cfg.Combiner = boxedSumCombiner
-	}
-	eng := NewEngine[float32, [3]float32](topo, &boxedSumProg{rounds: 4}, cfg)
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return eng, append([]float32(nil), eng.Values()...)
-}
-
-func runColSum(t *testing.T, topo Topology, workers int, combine, parallel bool) (*Engine[float32, [3]float32], []float32) {
+func runColSum(t *testing.T, topo Topology, workers int, combine, parallel bool) (*Engine[float32], []float32) {
 	t.Helper()
 	ops := &ColumnarOps{}
 	if combine {
 		ops.Combine = colSumCombiner
 	}
-	cfg := Config[[3]float32]{NumWorkers: workers, Parallel: parallel, Columnar: ops}
-	eng := NewEngine[float32, [3]float32](topo, &colSumProg{rounds: 4}, cfg)
+	cfg := Config{NumWorkers: workers, Parallel: parallel, Columnar: ops}
+	eng := NewEngine[float32](topo, &colSumProg{rounds: 4}, cfg)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return eng, append([]float32(nil), eng.Values()...)
 }
 
-// TestColumnarMatchesBoxed: the tentpole invariant — the columnar plane is
-// a pure transport change. Values, message counts, wire bytes and combine
-// counts must all be bit-identical to the boxed plane at every worker
-// count, serial and parallel, with and without combining. (The default
-// columnar Bytes — 4*len+16 — matches the boxed MessageBytes above.)
-func TestColumnarMatchesBoxed(t *testing.T) {
+// referenceSum runs colSumProg's computation sequentially: every vertex
+// starts at id%7+1, and each of rounds updates replaces it with the sum of
+// value+1 over its in-edges' sources, modulo sumMod.
+func referenceSum(topo Topology, rounds int) []float32 {
+	n := topo.NumVertices()
+	val := make([]int, n)
+	for v := range val {
+		val[v] = v%7 + 1
+	}
+	for r := 0; r < rounds; r++ {
+		next := make([]int, n)
+		for u := 0; u < n; u++ {
+			dsts, _ := topo.OutEdges(int32(u))
+			for _, d := range dsts {
+				next[d] += val[u] + 1
+			}
+		}
+		for v := range next {
+			next[v] %= sumMod
+		}
+		val = next
+	}
+	out := make([]float32, n)
+	for v, x := range val {
+		out[v] = float32(x)
+	}
+	return out
+}
+
+// referenceTraffic predicts colSumProg's per-worker message counts under
+// hash placement from the topology alone: every vertex sends along every
+// out-edge in each of rounds supersteps, and with combining one sending
+// worker's messages for one destination fold into a single row per
+// superstep.
+func referenceTraffic(topo Topology, workers, rounds int, combine bool) (sent, received, combined []int64) {
+	part := graph.NewPartitioner(workers)
+	sent, received, combined = make([]int64, workers), make([]int64, workers), make([]int64, workers)
+	seen := map[[2]int32]bool{} // (sending worker, destination)
+	for u := int32(0); u < int32(topo.NumVertices()); u++ {
+		sw := part.WorkerFor(u)
+		dsts, _ := topo.OutEdges(u)
+		for _, d := range dsts {
+			key := [2]int32{int32(sw), d}
+			if combine && seen[key] {
+				combined[sw] += int64(rounds)
+				continue
+			}
+			seen[key] = true
+			sent[sw] += int64(rounds)
+			received[part.WorkerFor(d)] += int64(rounds)
+		}
+	}
+	return sent, received, combined
+}
+
+// TestColumnarMatchesReference: values must equal the sequential reference,
+// and every worker's message counts, wire bytes (the default 4*3+16 per
+// message) and combine counts must equal the ones predicted from the
+// topology — at every worker count, serial and parallel, with and without
+// combining.
+func TestColumnarMatchesReference(t *testing.T) {
 	topo := randomTopology(t, 60, 240, 11)
+	want := referenceSum(topo, 4)
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, combine := range []bool{false, true} {
+			sent, received, combined := referenceTraffic(topo, workers, 4, combine)
 			for _, parallel := range []bool{false, true} {
-				be, bv := runBoxedSum(t, topo, workers, combine, parallel)
-				ce, cv := runColSum(t, topo, workers, combine, parallel)
-				for v := range bv {
-					if bv[v] != cv[v] {
-						t.Fatalf("workers=%d combine=%v parallel=%v: value[%d] boxed %v columnar %v",
-							workers, combine, parallel, v, bv[v], cv[v])
+				eng, got := runColSum(t, topo, workers, combine, parallel)
+				for v := range want {
+					if got[v] != want[v] {
+						t.Fatalf("workers=%d combine=%v parallel=%v: value[%d] = %v, reference %v",
+							workers, combine, parallel, v, got[v], want[v])
 					}
 				}
-				bm, cm := be.TotalMetrics(), ce.TotalMetrics()
-				for w := range bm {
-					if bm[w].MessagesSent != cm[w].MessagesSent ||
-						bm[w].MessagesReceived != cm[w].MessagesReceived ||
-						bm[w].BytesSent != cm[w].BytesSent ||
-						bm[w].BytesReceived != cm[w].BytesReceived ||
-						bm[w].CombinedAway != cm[w].CombinedAway {
-						t.Fatalf("workers=%d combine=%v parallel=%v: worker %d metrics diverge:\nboxed    %+v\ncolumnar %+v",
-							workers, combine, parallel, w, bm[w], cm[w])
+				for w, m := range eng.TotalMetrics() {
+					if m.MessagesSent != sent[w] || m.MessagesReceived != received[w] ||
+						m.BytesSent != 28*sent[w] || m.BytesReceived != 28*received[w] ||
+						m.CombinedAway != combined[w] {
+						t.Fatalf("workers=%d combine=%v parallel=%v: worker %d metrics %+v, want sent=%d received=%d combined=%d",
+							workers, combine, parallel, w, m, sent[w], received[w], combined[w])
 					}
 				}
 			}
@@ -152,30 +161,11 @@ func TestColumnarWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// orderProg records the source order in which vertex 0 receives messages.
-type orderProgBoxed struct{ got []int32 }
-
-func (p *orderProgBoxed) Compute(ctx *Context[int, [3]float32], msgs [][3]float32) {
-	switch ctx.Superstep {
-	case 0:
-		for s := int32(0); s < 3; s++ { // every vertex sends 3 messages to vertex 0
-			ctx.SendMessage(0, [3]float32{float32(ctx.ID), float32(s), 0})
-		}
-	case 1:
-		if ctx.ID == 0 {
-			for _, m := range msgs {
-				p.got = append(p.got, int32(m[0])*4+int32(m[1]))
-			}
-		}
-		ctx.VoteToHalt()
-	default:
-		ctx.VoteToHalt()
-	}
-}
-
+// orderProgCol sends three messages from every vertex to vertex 0 and
+// records the (src, seq) order in which vertex 0 receives them.
 type orderProgCol struct{ got []int32 }
 
-func (p *orderProgCol) Compute(ctx *Context[int, [3]float32], _ [][3]float32) {
+func (p *orderProgCol) Compute(ctx *Context[int]) {
 	switch ctx.Superstep {
 	case 0:
 		for s := int32(0); s < 3; s++ {
@@ -194,32 +184,61 @@ func (p *orderProgCol) Compute(ctx *Context[int, [3]float32], _ [][3]float32) {
 	}
 }
 
-// TestColumnarDeliveryOrderMatchesBoxed: per-destination message order is
-// part of the engine contract (globally ascending source id, emission order
-// within a source); the columnar barrier must reproduce the boxed order
-// exactly, parallel delivery included.
-func TestColumnarDeliveryOrderMatchesBoxed(t *testing.T) {
-	topo := ringTopology(t, 13)
+// edgeOrderProg sends three messages along every out-edge at superstep 0
+// and records, at superstep 1, the (src, seq) order of every vertex's inbox.
+// Each vertex writes only its own slot, so parallel runs are race-free.
+type edgeOrderProg struct{ got [][]int32 }
+
+func (p *edgeOrderProg) Compute(ctx *Context[int]) {
+	if ctx.Superstep == 0 {
+		dsts, _ := ctx.OutEdges()
+		for _, d := range dsts {
+			for s := int32(0); s < 3; s++ {
+				ctx.SendColumnar(d, 0, ctx.ID, s, nil)
+			}
+		}
+		return
+	}
+	in := ctx.ColumnarInbox()
+	for i := 0; i < in.Len(); i++ {
+		p.got[ctx.ID] = append(p.got[ctx.ID], in.Srcs[i]*4+in.Counts[i])
+	}
+	ctx.VoteToHalt()
+}
+
+// TestColumnarDeliveryOrderMatchesTopology: per-destination message order is
+// part of the engine contract — globally ascending source id, emission order
+// within a source (multi-edges included). The expected order of every inbox
+// is computed from the topology alone; serial and parallel delivery, every
+// worker count and both placements must reproduce it exactly.
+func TestColumnarDeliveryOrderMatchesTopology(t *testing.T) {
+	topo := randomTopology(t, 40, 160, 13)
+	n := topo.NumVertices()
+	want := make([][]int32, n)
+	for u := int32(0); u < int32(n); u++ {
+		dsts, _ := topo.OutEdges(u)
+		for _, d := range dsts {
+			for s := int32(0); s < 3; s++ {
+				want[d] = append(want[d], u*4+s)
+			}
+		}
+	}
 	for _, workers := range []int{1, 2, 4, 5} {
-		bp := &orderProgBoxed{}
-		be := NewEngine[int, [3]float32](topo, bp, Config[[3]float32]{NumWorkers: workers, MaxSupersteps: 4})
-		if err := be.Run(); err != nil {
-			t.Fatal(err)
-		}
-		cp := &orderProgCol{}
-		ce := NewEngine[int, [3]float32](topo, cp, Config[[3]float32]{
-			NumWorkers: workers, MaxSupersteps: 4, Parallel: true, Columnar: &ColumnarOps{},
-		})
-		if err := ce.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if len(bp.got) != len(cp.got) || len(bp.got) != 13*3 {
-			t.Fatalf("workers=%d: boxed received %d, columnar %d, want %d", workers, len(bp.got), len(cp.got), 13*3)
-		}
-		for i := range bp.got {
-			if bp.got[i] != cp.got[i] {
-				t.Fatalf("workers=%d: delivery order diverges at %d: boxed %v columnar %v",
-					workers, i, bp.got, cp.got)
+		for name, part := range map[string]graph.Partitioner{"hash": nil, "ldg": ldgFor(t, topo, workers)} {
+			for _, parallel := range []bool{false, true} {
+				p := &edgeOrderProg{got: make([][]int32, n)}
+				eng := NewEngine[int](topo, p, Config{
+					NumWorkers: workers, MaxSupersteps: 4, Parallel: parallel, Partitioner: part,
+				})
+				if err := eng.Run(); err != nil {
+					t.Fatal(err)
+				}
+				for v := range want {
+					if !slices.Equal(p.got[v], want[v]) {
+						t.Fatalf("workers=%d %s parallel=%v: vertex %d received %v, want %v",
+							workers, name, parallel, v, p.got[v], want[v])
+					}
+				}
 			}
 		}
 	}
@@ -230,7 +249,7 @@ type mailProg struct {
 	sawMail []bool // indexed by worker id
 }
 
-func (p *mailProg) Compute(ctx *Context[int, [3]float32], _ [][3]float32) {
+func (p *mailProg) Compute(ctx *Context[int]) {
 	switch ctx.Superstep {
 	case 0:
 		if ctx.ID == 0 {
@@ -239,7 +258,7 @@ func (p *mailProg) Compute(ctx *Context[int, [3]float32], _ [][3]float32) {
 			}
 		}
 	case 1:
-		mail := ctx.ColumnarWorkerMail()
+		mail := ctx.ColumnarMailbox()
 		for i := 0; i < mail.Len(); i++ {
 			if mail.Kinds[i] == 7 && mail.Srcs[i] == 0 &&
 				len(mail.Payloads[i]) == 2 && mail.Payloads[i][0] == 42 && mail.Payloads[i][1] == 43 {
@@ -255,9 +274,7 @@ func (p *mailProg) Compute(ctx *Context[int, [3]float32], _ [][3]float32) {
 func TestColumnarWorkerMailDelivered(t *testing.T) {
 	topo := ringTopology(t, 9)
 	prog := &mailProg{sawMail: make([]bool, 3)}
-	eng := NewEngine[int, [3]float32](topo, prog, Config[[3]float32]{
-		NumWorkers: 3, MaxSupersteps: 4, Columnar: &ColumnarOps{},
-	})
+	eng := NewEngine[int](topo, prog, Config{NumWorkers: 3, MaxSupersteps: 4})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -275,9 +292,9 @@ func TestColumnarWorkerMailDelivered(t *testing.T) {
 	}
 }
 
-// TestColumnarCombinerReducesTraffic mirrors the boxed combiner test on the
-// columnar plane: a star graph where each sending worker's messages for the
-// hub merge in place into one arena row.
+// TestColumnarCombinerReducesTraffic: on a star graph each sending worker's
+// messages for the hub merge in place into one arena row, without changing
+// any value.
 func TestColumnarCombinerReducesTraffic(t *testing.T) {
 	b := starTopologyBuilder(101)
 	run := func(combine bool) (values []float32, sent, combined int64) {
@@ -285,9 +302,7 @@ func TestColumnarCombinerReducesTraffic(t *testing.T) {
 		if combine {
 			ops.Combine = colSumCombiner
 		}
-		eng := NewEngine[float32, [3]float32](b, &colSumProg{rounds: 2}, Config[[3]float32]{
-			NumWorkers: 4, Columnar: ops,
-		})
+		eng := NewEngine[float32](b, &colSumProg{rounds: 2}, Config{NumWorkers: 4, Columnar: ops})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +331,7 @@ func TestColumnarCombinerReducesTraffic(t *testing.T) {
 // and the true arena extent of every message.
 func TestColumnarBytesAccounting(t *testing.T) {
 	topo := ringTopology(t, 6)
-	prog := progFunc[int, [3]float32](func(ctx *Context[int, [3]float32], _ [][3]float32) {
+	prog := progFunc[int](func(ctx *Context[int]) {
 		if ctx.Superstep == 0 {
 			dsts, _ := ctx.OutEdges()
 			for _, d := range dsts {
@@ -326,7 +341,7 @@ func TestColumnarBytesAccounting(t *testing.T) {
 		}
 		ctx.VoteToHalt()
 	})
-	eng := NewEngine[int, [3]float32](topo, prog, Config[[3]float32]{
+	eng := NewEngine[int](topo, prog, Config{
 		NumWorkers: 2, MaxSupersteps: 3,
 		Columnar: &ColumnarOps{Bytes: func(kind uint8, payloadLen int) int {
 			if kind == 1 {
@@ -351,30 +366,6 @@ func TestColumnarBytesAccounting(t *testing.T) {
 	}
 }
 
-// TestPlaneMisuse: crossing the planes is a programming error the engine
-// reports immediately.
-func TestPlaneMisuse(t *testing.T) {
-	topo := ringTopology(t, 4)
-	expectPanic := func(name string, prog VertexProgram[int, [3]float32], col *ColumnarOps) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		eng := NewEngine[int, [3]float32](topo, prog, Config[[3]float32]{NumWorkers: 2, Columnar: col})
-		_ = eng.Run()
-	}
-	expectPanic("SendMessage on columnar", progFunc[int, [3]float32](func(ctx *Context[int, [3]float32], _ [][3]float32) {
-		ctx.SendMessage(0, [3]float32{})
-	}), &ColumnarOps{})
-	expectPanic("SendColumnar on boxed", progFunc[int, [3]float32](func(ctx *Context[int, [3]float32], _ [][3]float32) {
-		ctx.SendColumnar(0, 0, ctx.ID, 1, []float32{1})
-	}), nil)
-	expectPanic("ColumnarInbox on boxed", progFunc[int, [3]float32](func(ctx *Context[int, [3]float32], _ [][3]float32) {
-		ctx.ColumnarInbox()
-	}), nil)
-}
-
 // starTopologyBuilder builds a hub-at-0 star over n vertices.
 func starTopologyBuilder(n int) Topology {
 	b := graph.NewBuilder(n)
@@ -389,7 +380,7 @@ func starTopologyBuilder(n int) Topology {
 // worker and aliases arena extents for the rest.
 type colFanProg struct{ rounds int }
 
-func (p *colFanProg) Compute(ctx *Context[float32, [3]float32], _ [][3]float32) {
+func (p *colFanProg) Compute(ctx *Context[float32]) {
 	if ctx.Superstep == 0 {
 		*ctx.Value = float32(int(ctx.ID)%7 + 1)
 	} else {
@@ -428,8 +419,8 @@ func TestColumnarFanMatchesPerEdgeSends(t *testing.T) {
 					if combine {
 						ops.Combine = colSumCombiner
 					}
-					fe := NewEngine[float32, [3]float32](topo, &colFanProg{rounds: 4},
-						Config[[3]float32]{NumWorkers: workers, Parallel: parallel, Columnar: ops})
+					fe := NewEngine[float32](topo, &colFanProg{rounds: 4},
+						Config{NumWorkers: workers, Parallel: parallel, Columnar: ops})
 					if err := fe.Run(); err != nil {
 						t.Fatal(err)
 					}
@@ -470,8 +461,8 @@ func TestColumnarFanMultiEdge(t *testing.T) {
 		if combine {
 			ops.Combine = colSumCombiner
 		}
-		fe := NewEngine[float32, [3]float32](topo, &colFanProg{rounds: 4},
-			Config[[3]float32]{NumWorkers: 2, Columnar: ops})
+		fe := NewEngine[float32](topo, &colFanProg{rounds: 4},
+			Config{NumWorkers: 2, Columnar: ops})
 		if err := fe.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -21,20 +21,18 @@ package pregel
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
 	"inferturbo/internal/checkpoint"
 )
 
-// SnapshotCodec encodes vertex values and boxed messages for the durable
-// sink. Encoding must be bit-exact: a decoded value must reproduce the
-// encoded one exactly (float32 fields round-trip through their IEEE-754
-// bits — see checkpoint.AppendF32s), or crash-resume loses the engine's
-// bit-identity guarantee. Msg methods are only exercised on the boxed
-// message plane; columnar snapshots carry payload arenas, not M values.
-type SnapshotCodec[V, M any] interface {
+// SnapshotCodec encodes vertex values for the durable sink. Encoding must be
+// bit-exact: a decoded value must reproduce the encoded one exactly (float32
+// fields round-trip through their IEEE-754 bits — see checkpoint.AppendF32s),
+// or crash-resume loses the engine's bit-identity guarantee. In-flight
+// messages need no codec: epochs carry the snapshot's payload arenas.
+type SnapshotCodec[V any] interface {
 	// EncodeValues appends the encoding to dst and returns the extended
 	// slice (append-style, like encoding/binary's Append* helpers), so the
 	// persister can reuse one encode arena across epochs.
@@ -42,8 +40,6 @@ type SnapshotCodec[V, M any] interface {
 	// DecodeValues decodes into the engine's value slab (len fixed at
 	// NumVertices).
 	DecodeValues(data []byte, into []V) error
-	EncodeMsgs(dst []byte, msgs []M) ([]byte, error)
-	DecodeMsgs(data []byte) ([]M, error)
 }
 
 // ProgramDiskStater extends ProgramStater with byte encoding of the
@@ -73,7 +69,7 @@ type CheckpointStats struct {
 // (cadence: Config.CheckpointEvery) is additionally encoded through codec
 // and persisted via sink by a background goroutine. Must be called before
 // Run; the engine does not take ownership of the sink's directory lifecycle.
-func (e *Engine[V, M]) SetSink(sink checkpoint.Sink, codec SnapshotCodec[V, M]) {
+func (e *Engine[V]) SetSink(sink checkpoint.Sink, codec SnapshotCodec[V]) {
 	if sink != nil && codec == nil {
 		panic("pregel: SetSink requires a codec")
 	}
@@ -86,7 +82,7 @@ func (e *Engine[V, M]) SetSink(sink checkpoint.Sink, codec SnapshotCodec[V, M]) 
 // at the checkpointed superstep. Returns false (and leaves the engine
 // untouched) when the sink holds nothing recoverable — callers then run
 // from scratch. Metrics of a resumed run cover only the resumed supersteps.
-func (e *Engine[V, M]) Resume() (bool, error) {
+func (e *Engine[V]) Resume() (bool, error) {
 	if e.sink == nil {
 		return false, errors.New("pregel: Resume without a sink (call SetSink first)")
 	}
@@ -111,7 +107,7 @@ func (e *Engine[V, M]) Resume() (bool, error) {
 
 // CheckpointStats reports the run's checkpoint activity. Valid after Run
 // (the persister's totals are published by its join).
-func (e *Engine[V, M]) CheckpointStats() CheckpointStats {
+func (e *Engine[V]) CheckpointStats() CheckpointStats {
 	return CheckpointStats{
 		Checkpoints: e.ckptCount,
 		SnapshotNs:  e.ckptWallNs,
@@ -123,8 +119,8 @@ func (e *Engine[V, M]) CheckpointStats() CheckpointStats {
 // startPersister launches the background persist goroutine; stopPersister
 // joins it and surfaces the first persist failure. enqueuePersist blocks
 // only when a previous epoch is still being written (queue capacity 1).
-func (e *Engine[V, M]) startPersister() {
-	e.persistCh = make(chan *snapshot[V, M], 1)
+func (e *Engine[V]) startPersister() {
+	e.persistCh = make(chan *snapshot[V], 1)
 	e.persistDone = make(chan struct{})
 	go func() {
 		for cp := range e.persistCh {
@@ -135,7 +131,7 @@ func (e *Engine[V, M]) startPersister() {
 	}()
 }
 
-func (e *Engine[V, M]) stopPersister() error {
+func (e *Engine[V]) stopPersister() error {
 	close(e.persistCh)
 	<-e.persistDone
 	e.persistCh = nil
@@ -144,7 +140,7 @@ func (e *Engine[V, M]) stopPersister() error {
 	return e.persistFailure
 }
 
-func (e *Engine[V, M]) enqueuePersist(cp *snapshot[V, M]) {
+func (e *Engine[V]) enqueuePersist(cp *snapshot[V]) {
 	e.persistWG.Add(1)
 	e.persistCh <- cp
 }
@@ -152,9 +148,9 @@ func (e *Engine[V, M]) enqueuePersist(cp *snapshot[V, M]) {
 // drainPersist blocks until every enqueued snapshot is durably written —
 // the pre-hook barrier that makes SuperstepHook-driven process kills
 // deterministic about which epochs exist.
-func (e *Engine[V, M]) drainPersist() { e.persistWG.Wait() }
+func (e *Engine[V]) drainPersist() { e.persistWG.Wait() }
 
-func (e *Engine[V, M]) persistSnapshot(cp *snapshot[V, M]) {
+func (e *Engine[V]) persistSnapshot(cp *snapshot[V]) {
 	// Publish completion regardless of outcome so takeCheckpoint can recycle
 	// this snapshot's slabs after it is displaced.
 	defer atomic.StoreUint32(&cp.ioDone, 1)
@@ -193,16 +189,18 @@ const (
 	segMeta    = "meta"
 	segActive  = "active"
 	segValues  = "values"
-	segAgg     = "agg"
 	segColIn   = "colin"
 	segColMail = "colmail"
 	segPendIn  = "pendin"
-	segBoxOff  = "boxoff"
-	segBoxMsgs = "boxmsgs"
-	segBoxMail = "boxmail"
 	segProg    = "prog"
 )
 
+// snapshotVersion is the epoch format. Its meta segment carries four flags
+// — columnar, pipelined, program state, aggregators — because version 1
+// also described a boxed message plane and global aggregators. Epochs are
+// still written with columnar=true and aggregators=false, so the format is
+// unchanged; Resume rejects an epoch that sets either of the retired
+// features.
 const snapshotVersion = 1
 
 // segArena builds an epoch's segments inside one reusable buffer. Appends
@@ -252,22 +250,20 @@ func (a *segArena) segments(dst []checkpoint.Segment) []checkpoint.Segment {
 // the snapshot (immutable after capture), engine fields fixed at
 // construction, and the persister-only scratch buffers. The returned
 // segments are views into the arena, valid until the next encodeSnapshot.
-func (e *Engine[V, M]) encodeSnapshot(cp *snapshot[V, M]) ([]checkpoint.Segment, error) {
+func (e *Engine[V]) encodeSnapshot(cp *snapshot[V]) ([]checkpoint.Segment, error) {
 	nw := e.cfg.NumWorkers
 	a := &e.encArena
 	a.reset()
 	// Size the arena from the known-size bulk (the inbox arenas dominate an
 	// epoch) plus slack for the codec-encoded values and program state.
 	est := 4096 + len(cp.active) + 16*len(cp.values)
-	if e.columnar {
-		for r := 0; r < nw; r++ {
-			est += colSnapSize(cp.colIn[r]) + colSnapSize(cp.colMail[r])
-		}
+	for r := 0; r < nw; r++ {
+		est += colSnapSize(cp.colIn[r]) + colSnapSize(cp.colMail[r])
 	}
 	a.grow(est + est/8)
 	b := a.buf
 	b = checkpoint.AppendU32(b, snapshotVersion)
-	b = checkpoint.AppendBools(b, []bool{e.columnar, e.pipelined, cp.hasProg, cp.aggPrev != nil})
+	b = checkpoint.AppendBools(b, []bool{true, e.pipelined, cp.hasProg, false})
 	b = checkpoint.AppendU32(b, uint32(nw))
 	b = checkpoint.AppendU64(b, uint64(len(cp.values)))
 	b = checkpoint.AppendI64(b, int64(cp.inTotal))
@@ -285,71 +281,26 @@ func (e *Engine[V, M]) encodeSnapshot(cp *snapshot[V, M]) ([]checkpoint.Segment,
 	a.buf = vals
 	a.seal(segValues)
 
-	if cp.aggPrev != nil {
-		keys := make([]string, 0, len(cp.aggPrev))
-		for k := range cp.aggPrev {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		b := a.buf
-		b = checkpoint.AppendU64(b, uint64(len(keys)))
-		for _, k := range keys {
-			b = checkpoint.AppendString(b, k)
-			b = checkpoint.AppendF32s(b, cp.aggPrev[k])
-		}
-		a.buf = b
-		a.seal(segAgg)
+	b = a.buf
+	for r := 0; r < nw; r++ {
+		b = appendColSnap(b, cp.colIn[r])
 	}
-
-	if e.columnar {
-		b := a.buf
-		for r := 0; r < nw; r++ {
-			b = appendColSnap(b, cp.colIn[r])
-		}
-		a.buf = b
-		a.seal(segColIn)
+	a.buf = b
+	a.seal(segColIn)
+	b = a.buf
+	for r := 0; r < nw; r++ {
+		b = appendColSnap(b, cp.colMail[r])
+	}
+	a.buf = b
+	a.seal(segColMail)
+	if e.pipelined {
 		b = a.buf
 		for r := 0; r < nw; r++ {
-			b = appendColSnap(b, cp.colMail[r])
+			b = checkpoint.AppendI64(b, cp.pendIn[r].msgs)
+			b = checkpoint.AppendI64(b, cp.pendIn[r].bytes)
 		}
 		a.buf = b
-		a.seal(segColMail)
-		if e.pipelined {
-			b = a.buf
-			for r := 0; r < nw; r++ {
-				b = checkpoint.AppendI64(b, cp.pendIn[r].msgs)
-				b = checkpoint.AppendI64(b, cp.pendIn[r].bytes)
-			}
-			a.buf = b
-			a.seal(segPendIn)
-		}
-	} else {
-		b := a.buf
-		for r := 0; r < nw; r++ {
-			b = checkpoint.AppendI32s(b, cp.boxOff[r])
-		}
-		a.buf = b
-		a.seal(segBoxOff)
-		// Per-worker message blobs nest length-prefixed inside the segment,
-		// so each is encoded into a reused scratch first.
-		b = a.buf
-		for r := 0; r < nw; r++ {
-			if e.boxScratch, err = e.codec.EncodeMsgs(e.boxScratch[:0], cp.boxMsgs[r]); err != nil {
-				return nil, fmt.Errorf("pregel: encode inbox msgs: %w", err)
-			}
-			b = checkpoint.AppendBytes(b, e.boxScratch)
-		}
-		a.buf = b
-		a.seal(segBoxMsgs)
-		b = a.buf
-		for r := 0; r < nw; r++ {
-			if e.boxScratch, err = e.codec.EncodeMsgs(e.boxScratch[:0], cp.boxMail[r]); err != nil {
-				return nil, fmt.Errorf("pregel: encode worker mail: %w", err)
-			}
-			b = checkpoint.AppendBytes(b, e.boxScratch)
-		}
-		a.buf = b
-		a.seal(segBoxMail)
+		a.seal(segPendIn)
 	}
 
 	if cp.hasProg {
@@ -442,7 +393,7 @@ func validateColSnap(s colSnap, wantOff int) error {
 
 // decodeSnapshot rebuilds a snapshot from epoch segments, validating shape
 // against the engine's configuration before any state is touched.
-func (e *Engine[V, M]) decodeSnapshot(step int, segs []checkpoint.Segment) (*snapshot[V, M], error) {
+func (e *Engine[V]) decodeSnapshot(step int, segs []checkpoint.Segment) (*snapshot[V], error) {
 	bySeg := make(map[string][]byte, len(segs))
 	for _, sg := range segs {
 		bySeg[sg.Name] = sg.Data
@@ -472,13 +423,16 @@ func (e *Engine[V, M]) decodeSnapshot(step int, segs []checkpoint.Segment) (*sna
 		return nil, fmt.Errorf("pregel: checkpoint version %d, engine speaks %d", version, snapshotVersion)
 	}
 	columnar, pipelined, hasProg, hasAgg := flags[0], flags[1], flags[2], flags[3]
-	if columnar != e.columnar || pipelined != e.pipelined ||
-		nw != e.cfg.NumWorkers || nvert != len(e.values) {
-		return nil, fmt.Errorf("pregel: checkpoint shape (columnar=%v pipelined=%v workers=%d vertices=%d) does not match engine (columnar=%v pipelined=%v workers=%d vertices=%d)",
-			columnar, pipelined, nw, nvert, e.columnar, e.pipelined, e.cfg.NumWorkers, len(e.values))
+	if !columnar || hasAgg {
+		return nil, fmt.Errorf("pregel: checkpoint uses the boxed message plane or global aggregators (columnar=%v aggregators=%v), which this engine does not support",
+			columnar, hasAgg)
+	}
+	if pipelined != e.pipelined || nw != e.cfg.NumWorkers || nvert != len(e.values) {
+		return nil, fmt.Errorf("pregel: checkpoint shape (pipelined=%v workers=%d vertices=%d) does not match engine (pipelined=%v workers=%d vertices=%d)",
+			pipelined, nw, nvert, e.pipelined, e.cfg.NumWorkers, len(e.values))
 	}
 
-	cp := &snapshot[V, M]{step: step, inTotal: inTotal, mailTotal: mailTotal, hasProg: hasProg}
+	cp := &snapshot[V]{step: step, inTotal: inTotal, mailTotal: mailTotal, hasProg: hasProg}
 
 	ar, err := need(segActive)
 	if err != nil {
@@ -498,95 +452,43 @@ func (e *Engine[V, M]) decodeSnapshot(step int, segs []checkpoint.Segment) (*sna
 		return nil, fmt.Errorf("pregel: decode values: %w", err)
 	}
 
-	if hasAgg {
-		gr, err := need(segAgg)
-		if err != nil {
-			return nil, err
-		}
-		n := int(gr.U64())
-		agg := make(map[string][]float32, n)
-		for i := 0; i < n && gr.Err() == nil; i++ {
-			k := gr.String()
-			agg[k] = gr.F32s()
-		}
-		if gr.Err() != nil {
-			return nil, errors.New("pregel: checkpoint aggregator segment malformed")
-		}
-		cp.aggPrev = agg
+	ir, err := need(segColIn)
+	if err != nil {
+		return nil, err
 	}
-
-	if e.columnar {
-		ir, err := need(segColIn)
+	mrd, err := need(segColMail)
+	if err != nil {
+		return nil, err
+	}
+	cp.colIn = make([]colSnap, nw)
+	cp.colMail = make([]colSnap, nw)
+	for r := 0; r < nw; r++ {
+		cp.colIn[r] = readColSnap(ir)
+		cp.colMail[r] = readColSnap(mrd)
+	}
+	if ir.Err() != nil || mrd.Err() != nil {
+		return nil, errors.New("pregel: checkpoint columnar segments malformed")
+	}
+	for r := 0; r < nw; r++ {
+		if err := validateColSnap(cp.colIn[r], len(e.colIn[r].off)); err != nil {
+			return nil, fmt.Errorf("pregel: checkpoint inbox for worker %d malformed: %w", r, err)
+		}
+		if err := validateColSnap(cp.colMail[r], 0); err != nil {
+			return nil, fmt.Errorf("pregel: checkpoint worker mail for worker %d malformed: %w", r, err)
+		}
+	}
+	if e.pipelined {
+		pr, err := need(segPendIn)
 		if err != nil {
 			return nil, err
 		}
-		mrd, err := need(segColMail)
-		if err != nil {
-			return nil, err
-		}
-		cp.colIn = make([]colSnap, nw)
-		cp.colMail = make([]colSnap, nw)
+		cp.pendIn = make([]inMetrics, nw)
 		for r := 0; r < nw; r++ {
-			cp.colIn[r] = readColSnap(ir)
-			cp.colMail[r] = readColSnap(mrd)
+			cp.pendIn[r].msgs = pr.I64()
+			cp.pendIn[r].bytes = pr.I64()
 		}
-		if ir.Err() != nil || mrd.Err() != nil {
-			return nil, errors.New("pregel: checkpoint columnar segments malformed")
-		}
-		for r := 0; r < nw; r++ {
-			if err := validateColSnap(cp.colIn[r], len(e.colIn[r].off)); err != nil {
-				return nil, fmt.Errorf("pregel: checkpoint inbox for worker %d malformed: %w", r, err)
-			}
-			if err := validateColSnap(cp.colMail[r], 0); err != nil {
-				return nil, fmt.Errorf("pregel: checkpoint worker mail for worker %d malformed: %w", r, err)
-			}
-		}
-		if e.pipelined {
-			pr, err := need(segPendIn)
-			if err != nil {
-				return nil, err
-			}
-			cp.pendIn = make([]inMetrics, nw)
-			for r := 0; r < nw; r++ {
-				cp.pendIn[r].msgs = pr.I64()
-				cp.pendIn[r].bytes = pr.I64()
-			}
-			if pr.Err() != nil {
-				return nil, errors.New("pregel: checkpoint pendin segment malformed")
-			}
-		}
-	} else {
-		or, err := need(segBoxOff)
-		if err != nil {
-			return nil, err
-		}
-		br, err := need(segBoxMsgs)
-		if err != nil {
-			return nil, err
-		}
-		wr, err := need(segBoxMail)
-		if err != nil {
-			return nil, err
-		}
-		cp.boxOff = make([][]int32, nw)
-		cp.boxMsgs = make([][]M, nw)
-		cp.boxMail = make([][]M, nw)
-		for r := 0; r < nw; r++ {
-			cp.boxOff[r] = or.I32s()
-			if want := len(e.boxIn[r].off); len(cp.boxOff[r]) != want {
-				return nil, fmt.Errorf("pregel: checkpoint inbox CSR for worker %d has %d offsets, engine expects %d", r, len(cp.boxOff[r]), want)
-			}
-			mb := br.Bytes()
-			if cp.boxMsgs[r], err = e.codec.DecodeMsgs(mb); err != nil {
-				return nil, fmt.Errorf("pregel: decode inbox msgs: %w", err)
-			}
-			wb := wr.Bytes()
-			if cp.boxMail[r], err = e.codec.DecodeMsgs(wb); err != nil {
-				return nil, fmt.Errorf("pregel: decode worker mail: %w", err)
-			}
-		}
-		if or.Err() != nil || br.Err() != nil || wr.Err() != nil {
-			return nil, errors.New("pregel: checkpoint boxed segments malformed")
+		if pr.Err() != nil {
+			return nil, errors.New("pregel: checkpoint pendin segment malformed")
 		}
 	}
 

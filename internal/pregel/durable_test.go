@@ -1,7 +1,6 @@
 package pregel
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,9 +10,7 @@ import (
 	"inferturbo/internal/checkpoint"
 )
 
-// Codecs for the test programs. colCodec speaks the columnar test programs'
-// types (V=float32, M=[3]float32); rankCodec speaks PageRank's (V=M=float64).
-
+// colCodec is the durable codec of the float32-valued test programs.
 type colCodec struct{}
 
 func (colCodec) EncodeValues(dst []byte, vals []float32) ([]byte, error) {
@@ -24,68 +21,6 @@ func (colCodec) DecodeValues(data []byte, into []float32) error {
 	r := checkpoint.NewReader(data)
 	copy(into, r.F32s())
 	return r.Err()
-}
-
-func (colCodec) EncodeMsgs(dst []byte, msgs [][3]float32) ([]byte, error) {
-	dst = checkpoint.AppendU64(dst, uint64(3*len(msgs)))
-	for _, m := range msgs {
-		for _, x := range m {
-			dst = checkpoint.AppendU32(dst, math.Float32bits(x))
-		}
-	}
-	return dst, nil
-}
-
-func (colCodec) DecodeMsgs(data []byte) ([][3]float32, error) {
-	r := checkpoint.NewReader(data)
-	flat := r.F32s()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	msgs := make([][3]float32, len(flat)/3)
-	for i := range msgs {
-		copy(msgs[i][:], flat[3*i:])
-	}
-	return msgs, nil
-}
-
-type rankCodec struct{}
-
-func appendF64s(b []byte, v []float64) []byte {
-	b = checkpoint.AppendU64(b, uint64(len(v)))
-	for _, x := range v {
-		b = checkpoint.AppendU64(b, math.Float64bits(x))
-	}
-	return b
-}
-
-func readF64s(r *checkpoint.Reader) []float64 {
-	n := int(r.U64())
-	v := make([]float64, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		v = append(v, math.Float64frombits(r.U64()))
-	}
-	return v
-}
-
-func (rankCodec) EncodeValues(dst []byte, vals []float64) ([]byte, error) {
-	return appendF64s(dst, vals), nil
-}
-
-func (rankCodec) DecodeValues(data []byte, into []float64) error {
-	r := checkpoint.NewReader(data)
-	copy(into, readF64s(r))
-	return r.Err()
-}
-
-func (rankCodec) EncodeMsgs(dst []byte, msgs []float64) ([]byte, error) {
-	return appendF64s(dst, msgs), nil
-}
-
-func (rankCodec) DecodeMsgs(data []byte) ([]float64, error) {
-	r := checkpoint.NewReader(data)
-	v := readF64s(r)
-	return v, r.Err()
 }
 
 // ProgramDiskStater for batchSumProg, so durable checkpoints can carry its
@@ -110,8 +45,8 @@ func (p *batchSumProg) DecodeProgState(data []byte) (any, error) {
 }
 
 // colConfig builds the standard columnar test config for one plane combo.
-func colConfig(parallel, pipelined, batched bool, chunk int) Config[[3]float32] {
-	return Config[[3]float32]{
+func colConfig(parallel, pipelined, batched bool, chunk int) Config {
+	return Config{
 		NumWorkers:      4,
 		Parallel:        parallel,
 		MaxSupersteps:   10,
@@ -123,7 +58,7 @@ func colConfig(parallel, pipelined, batched bool, chunk int) Config[[3]float32] 
 	}
 }
 
-func newColProg(batched bool) VertexProgram[float32, [3]float32] {
+func newColProg(batched bool) VertexProgram[float32] {
 	if batched {
 		return newBatchSumProg(6, 4)
 	}
@@ -161,7 +96,7 @@ func TestFaultPlanMatrixByteIdentical(t *testing.T) {
 		run := func(plan *FaultPlan) ([]float32, int, int64) {
 			cfg := colConfig(true, pl.pipelined, pl.batched, pl.chunk)
 			cfg.Faults = plan
-			eng := NewEngine[float32, [3]float32](topo, newColProg(pl.batched), cfg)
+			eng := NewEngine[float32](topo, newColProg(pl.batched), cfg)
 			if err := eng.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -194,15 +129,14 @@ func TestFaultPlanMatrixByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFaultAtSuperstepZero: the legacy FailAtSuperstep field cannot target
-// superstep 0 (its zero value means "off"); a FaultPlan entry can, and the
-// always-taken step-0 checkpoint recovers it.
+// TestFaultAtSuperstepZero: a FaultPlan entry can target superstep 0, and
+// the step-0 checkpoint taken whenever a plan is armed recovers it.
 func TestFaultAtSuperstepZero(t *testing.T) {
 	topo := randomTopology(t, 50, 200, 13)
 	run := func(plan *FaultPlan) ([]float32, int) {
 		cfg := colConfig(false, false, false, 0)
 		cfg.Faults = plan
-		eng := NewEngine[float32, [3]float32](topo, newScratchSumProg(5, 4), cfg)
+		eng := NewEngine[float32](topo, newScratchSumProg(5, 4), cfg)
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -222,71 +156,6 @@ func TestFaultAtSuperstepZero(t *testing.T) {
 	}
 }
 
-// TestBoxedPlaneFaultRecovery mirrors the columnar matrix on the boxed
-// message plane, exercising worker mail and aggregators across a rollback.
-func TestBoxedPlaneFaultRecovery(t *testing.T) {
-	topo := randomTopology(t, 60, 240, 17)
-	// A boxed program using every snapshotted channel: vertex messages,
-	// worker mail, and an aggregator read back the next superstep.
-	prog := func() VertexProgram[float64, float64] {
-		return progFunc[float64, float64](func(ctx *Context[float64, float64], msgs []float64) {
-			if ctx.Superstep == 0 {
-				*ctx.Value = float64(int(ctx.ID)%9 + 1)
-			} else {
-				var s float64
-				for _, m := range msgs {
-					s += m
-				}
-				for _, m := range ctx.WorkerMail() {
-					s += m / 1000
-				}
-				if g, ok := ctx.AggregatorGet("shift"); ok {
-					s += float64(g[0])
-				}
-				*ctx.Value = math.Mod(s, 9973)
-			}
-			if ctx.Superstep >= 6 {
-				ctx.VoteToHalt()
-				return
-			}
-			dsts, _ := ctx.OutEdges()
-			for _, d := range dsts {
-				ctx.SendMessage(d, *ctx.Value+float64(ctx.ID)/7)
-			}
-			ctx.SendToWorker((int(ctx.ID)+1)%ctx.NumWorkers(), float64(ctx.ID))
-			if ctx.ID == 0 {
-				ctx.AggregatorPut("shift", []float32{float32(ctx.Superstep)})
-			}
-		})
-	}
-	run := func(plan *FaultPlan) ([]float64, int) {
-		eng := NewEngine[float64, float64](topo, prog(), Config[float64]{
-			NumWorkers: 4, Parallel: true, MaxSupersteps: 10, CheckpointEvery: 2, Faults: plan,
-		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return append([]float64(nil), eng.Values()...), eng.Recoveries()
-	}
-	clean, _ := run(nil)
-	for name, faults := range map[string][]Fault{
-		"mid":     {{Superstep: 3, Point: FaultMidPipeline}},
-		"barrier": {{Superstep: 5, Point: FaultAtBarrier}},
-		"multi":   {{Superstep: 1, Point: FaultAtBarrier}, {Superstep: 5, Point: FaultMidPipeline}},
-	} {
-		failed, rec := run(&FaultPlan{Crashes: faults})
-		if rec != len(faults) {
-			t.Fatalf("%s: recoveries = %d, want %d", name, rec, len(faults))
-		}
-		for v := range clean {
-			if clean[v] != failed[v] {
-				t.Fatalf("%s: value[%d] differs after boxed recovery: %v vs %v",
-					name, v, clean[v], failed[v])
-			}
-		}
-	}
-}
-
 // runDurable executes one engine run against a disk store in dir, optionally
 // resuming, with MaxSupersteps capped at maxSteps (simulating a kill by
 // stopping the loop early while epochs stay on disk).
@@ -294,7 +163,7 @@ func runDurable(t *testing.T, topo Topology, pipelined, batched bool, chunk, max
 	t.Helper()
 	cfg := colConfig(true, pipelined, batched, chunk)
 	cfg.MaxSupersteps = maxSteps
-	eng := NewEngine[float32, [3]float32](topo, newColProg(batched), cfg)
+	eng := NewEngine[float32](topo, newColProg(batched), cfg)
 	st, err := checkpoint.NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -344,45 +213,6 @@ func TestDurableResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDurableResumeBoxedPlane covers Resume on the boxed plane (codec-
-// encoded M values in the epoch).
-func TestDurableResumeBoxedPlane(t *testing.T) {
-	topo := randomTopology(t, 60, 240, 9)
-	run := func(maxSteps int, dir string, resume bool) ([]float64, bool) {
-		prog := &PageRankProgram{NumVertices: 60, Iterations: 8}
-		eng := NewEngine[float64, float64](topo, prog, Config[float64]{
-			NumWorkers: 3, MaxSupersteps: maxSteps, CheckpointEvery: 2, Combiner: PageRankCombiner,
-		})
-		st, err := checkpoint.NewStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.SetSink(st, rankCodec{})
-		resumed := false
-		if resume {
-			if resumed, err = eng.Resume(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return append([]float64(nil), eng.Values()...), resumed
-	}
-	clean, _ := run(10, t.TempDir(), false)
-	dir := t.TempDir()
-	run(4, dir, false)
-	got, resumed := run(10, dir, true)
-	if !resumed {
-		t.Fatal("no epoch found to resume from")
-	}
-	for v := range clean {
-		if clean[v] != got[v] {
-			t.Fatalf("value[%d] differs after boxed resume: %v vs %v", v, clean[v], got[v])
-		}
-	}
-}
-
 // TestResumeFallsBackPastCorruptEpoch: corrupt the newest epoch file; Resume
 // must recover from the previous epoch and still finish bit-identically.
 func TestResumeFallsBackPastCorruptEpoch(t *testing.T) {
@@ -417,7 +247,7 @@ func TestResumeShapeMismatch(t *testing.T) {
 	dir := t.TempDir()
 	runDurable(t, topo, false, false, 0, 4, dir, false) // BSP epoch
 	cfg := colConfig(true, true, false, 5)              // pipelined engine
-	eng := NewEngine[float32, [3]float32](topo, newScratchSumProg(6, 4), cfg)
+	eng := NewEngine[float32](topo, newScratchSumProg(6, 4), cfg)
 	st, _ := checkpoint.NewStore(dir)
 	eng.SetSink(st, colCodec{})
 	if _, err := eng.Resume(); err == nil || !strings.Contains(err.Error(), "does not match engine") {
@@ -425,11 +255,88 @@ func TestResumeShapeMismatch(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsLegacyEpoch: an epoch whose meta segment selects the
+// boxed message plane (columnar=false) or carries global aggregators — the
+// two version-1 features this engine no longer has — must make Resume
+// return an error, never panic, and leave the engine untouched.
+func TestResumeRejectsLegacyEpoch(t *testing.T) {
+	topo := randomTopology(t, 70, 300, 21)
+	src := t.TempDir()
+	runDurable(t, topo, false, false, 0, 4, src, false)
+	st, err := checkpoint.NewStore(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step, segs, found, err := st.Load()
+	if err != nil || !found {
+		t.Fatalf("no epoch to rewrite: found=%v err=%v", found, err)
+	}
+	// legacy rewrites the meta flags and swaps in the segments the old
+	// writer emitted alongside them.
+	legacy := func(columnar, agg bool, extra ...checkpoint.Segment) []checkpoint.Segment {
+		var out []checkpoint.Segment
+		for _, sg := range segs {
+			switch sg.Name {
+			case segMeta:
+				r := checkpoint.NewReader(sg.Data)
+				version, flags := r.U32(), r.Bools()
+				nw, nvert, inTotal, mailTotal := r.U32(), r.U64(), r.I64(), r.I64()
+				if r.Err() != nil || len(flags) != 4 {
+					t.Fatal("meta segment unreadable")
+				}
+				b := checkpoint.AppendU32(nil, version)
+				b = checkpoint.AppendBools(b, []bool{columnar, flags[1], flags[2], agg})
+				b = checkpoint.AppendU32(b, nw)
+				b = checkpoint.AppendU64(b, nvert)
+				b = checkpoint.AppendI64(b, inTotal)
+				b = checkpoint.AppendI64(b, mailTotal)
+				out = append(out, checkpoint.Segment{Name: segMeta, Data: b})
+			case segColIn, segColMail:
+				if columnar {
+					out = append(out, sg)
+				}
+			default:
+				out = append(out, sg)
+			}
+		}
+		return append(out, extra...)
+	}
+	junk := checkpoint.AppendU64(nil, 3)
+	cases := map[string][]checkpoint.Segment{
+		"boxed": legacy(false, false,
+			checkpoint.Segment{Name: "boxoff", Data: junk},
+			checkpoint.Segment{Name: "boxmsgs", Data: junk},
+			checkpoint.Segment{Name: "boxmail", Data: junk}),
+		"aggregators": legacy(true, true, checkpoint.Segment{
+			Name: "agg",
+			Data: checkpoint.AppendF32s(checkpoint.AppendString(checkpoint.AppendU64(nil, 1), "shift"), []float32{1}),
+		}),
+	}
+	for name, legacySegs := range cases {
+		ls, err := checkpoint.NewStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ls.Save(step, legacySegs); err != nil {
+			t.Fatal(err)
+		}
+		eng := NewEngine[float32](topo, newScratchSumProg(6, 4), colConfig(true, false, false, 0))
+		eng.SetSink(ls, colCodec{})
+		resumed, err := eng.Resume()
+		if err == nil || resumed || !strings.Contains(err.Error(), "boxed message plane or global aggregators") {
+			t.Fatalf("%s: legacy epoch not rejected: resumed=%v err=%v", name, resumed, err)
+		}
+		if eng.checkpoint != nil || eng.resumed {
+			t.Fatalf("%s: rejected resume modified the engine", name)
+		}
+	}
+}
+
 // TestResumeEmptyStore: nothing on disk is a cold start, not an error.
 func TestResumeEmptyStore(t *testing.T) {
 	topo := ringTopology(t, 8)
-	eng := NewEngine[float32, [3]float32](topo, newScratchSumProg(3, 2), Config[[3]float32]{
-		NumWorkers: 2, MaxSupersteps: 6, CheckpointEvery: 2, Columnar: &ColumnarOps{},
+	eng := NewEngine[float32](topo, newScratchSumProg(3, 2), Config{
+		NumWorkers: 2, MaxSupersteps: 6, CheckpointEvery: 2,
 	})
 	st, _ := checkpoint.NewStore(t.TempDir())
 	eng.SetSink(st, colCodec{})
@@ -448,7 +355,7 @@ func TestResumeEmptyStore(t *testing.T) {
 func TestCheckpointStatsObservability(t *testing.T) {
 	topo := randomTopology(t, 50, 200, 5)
 	cfg := colConfig(false, false, false, 0)
-	eng := NewEngine[float32, [3]float32](topo, newScratchSumProg(6, 4), cfg)
+	eng := NewEngine[float32](topo, newScratchSumProg(6, 4), cfg)
 	st, _ := checkpoint.NewStore(t.TempDir())
 	eng.SetSink(st, colCodec{})
 	if err := eng.Run(); err != nil {
@@ -487,7 +394,7 @@ func TestWatchdogDegradesToInlineAssembly(t *testing.T) {
 		cfg := colConfig(true, true, false, 2)
 		cfg.PipelineDepth = 1
 		cfg.PipelineWatchdog = 2 * time.Millisecond
-		eng := NewEngine[float32, [3]float32](topo, newScratchSumProg(6, 4), cfg)
+		eng := NewEngine[float32](topo, newScratchSumProg(6, 4), cfg)
 		if stall {
 			eng.asmStall = func(int) { time.Sleep(20 * time.Millisecond) }
 		}
@@ -508,24 +415,5 @@ func TestWatchdogDegradesToInlineAssembly(t *testing.T) {
 		if clean[v] != stalled[v] {
 			t.Fatalf("value[%d] differs under degraded assembly: %v vs %v", v, clean[v], stalled[v])
 		}
-	}
-}
-
-// TestLegacyFailAtSuperstepStillWorks pins the back-compat fold of the old
-// field into the fault plan.
-func TestLegacyFailAtSuperstepStillWorks(t *testing.T) {
-	topo := ringTopology(t, 20)
-	prog := &PageRankProgram{NumVertices: 20, Iterations: 8}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{
-		NumWorkers:      3,
-		CheckpointEvery: 2,
-		FailAtSuperstep: 3,
-		Faults:          &FaultPlan{Crashes: []Fault{{Superstep: 5, Point: FaultAtBarrier}}},
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Recoveries() != 2 {
-		t.Fatalf("recoveries = %d, want 2 (legacy field + plan entry)", eng.Recoveries())
 	}
 }

@@ -15,9 +15,9 @@ package pregel
 type FaultPoint int
 
 const (
-	// FaultBeforeSuperstep crashes before the superstep's compute begins —
-	// the legacy FailAtSuperstep semantics. Nothing of the superstep
-	// executed; recovery replays from the latest checkpoint.
+	// FaultBeforeSuperstep crashes before the superstep's compute begins.
+	// Nothing of the superstep executed; recovery replays from the latest
+	// checkpoint.
 	FaultBeforeSuperstep FaultPoint = iota
 	// FaultMidPipeline crashes after the compute phase has produced (and, on
 	// the pipelined plane, flushed and partially assembled) send data, but
@@ -25,8 +25,8 @@ const (
 	// filled send buffers are lost work that recovery must discard.
 	FaultMidPipeline
 	// FaultAtBarrier crashes after the barrier's delivery/merge has rebuilt
-	// the inboxes but before the superstep commits (totals, aggregators, the
-	// send-buffer generation shift) — the freshly delivered inbox is lost.
+	// the inboxes but before the superstep commits (totals, the send-buffer
+	// generation shift) — the freshly delivered inbox is lost.
 	FaultAtBarrier
 	// FaultDuringCheckpoint crashes while the checkpoint following the given
 	// superstep is being captured: the partially built snapshot is discarded
@@ -79,8 +79,7 @@ func (p FaultPoint) String() string {
 
 // Fault is one injected crash: it fires the first time the run reaches
 // Point at Superstep, then disarms (a replayed superstep does not re-crash,
-// matching a real transient failure). Superstep 0 is targetable — unlike
-// the legacy FailAtSuperstep field, whose zero value means "off".
+// matching a real transient failure). Superstep 0 is targetable.
 type Fault struct {
 	Superstep int
 	Point     FaultPoint
@@ -100,23 +99,20 @@ type faultState struct {
 	fired bool
 }
 
-// buildFaults folds the configured FaultPlan and the legacy FailAtSuperstep
-// field into one armed schedule.
-func buildFaults[M any](cfg Config[M]) []faultState {
-	var fs []faultState
-	if cfg.Faults != nil {
-		for _, f := range cfg.Faults.Crashes {
-			fs = append(fs, faultState{Fault: f})
-		}
+// buildFaults arms the configured FaultPlan.
+func buildFaults(plan *FaultPlan) []faultState {
+	if plan == nil {
+		return nil
 	}
-	if cfg.FailAtSuperstep > 0 {
-		fs = append(fs, faultState{Fault: Fault{Superstep: cfg.FailAtSuperstep, Point: FaultBeforeSuperstep}})
+	fs := make([]faultState, len(plan.Crashes))
+	for i, f := range plan.Crashes {
+		fs[i] = faultState{Fault: f}
 	}
 	return fs
 }
 
 // faultAt reports whether an armed fault targets (step, p), consuming it.
-func (e *Engine[V, M]) faultAt(step int, p FaultPoint) bool {
+func (e *Engine[V]) faultAt(step int, p FaultPoint) bool {
 	for i := range e.faults {
 		f := &e.faults[i]
 		if !f.fired && f.Superstep == step && f.Point == p {

@@ -10,14 +10,14 @@ import (
 // superstep — the activation pattern the incremental GNN drivers rely on.
 type hopProg struct{ hops int }
 
-func (p *hopProg) Compute(ctx *Context[int, int], msgs []int) {
+func (p *hopProg) Compute(ctx *Context[int]) {
 	if *ctx.Value == 0 {
 		*ctx.Value = ctx.Superstep + 1
 	}
 	if ctx.Superstep < p.hops {
 		dsts, _ := ctx.OutEdges()
 		for _, d := range dsts {
-			ctx.SendMessage(d, 1)
+			ctx.SendColumnar(d, 0, ctx.ID, 1, nil)
 		}
 	}
 	ctx.VoteToHalt()
@@ -28,7 +28,7 @@ func TestFrontierFloodsFromSeeds(t *testing.T) {
 	topo := ringTopology(t, n)
 	for _, workers := range []int{1, 3} {
 		prog := &hopProg{hops: 3}
-		eng := NewEngine[int, int](topo, prog, Config[int]{
+		eng := NewEngine[int](topo, prog, Config{
 			NumWorkers: workers, MaxSupersteps: 10, Frontier: []int32{0},
 		})
 		if err := eng.Run(); err != nil {
@@ -62,7 +62,7 @@ func TestFrontierMultipleSeeds(t *testing.T) {
 	const n = 10
 	topo := ringTopology(t, n)
 	prog := &hopProg{hops: 1}
-	eng := NewEngine[int, int](topo, prog, Config[int]{
+	eng := NewEngine[int](topo, prog, Config{
 		NumWorkers: 2, MaxSupersteps: 5, Frontier: []int32{2, 7},
 	})
 	if err := eng.Run(); err != nil {
@@ -78,7 +78,7 @@ func TestFrontierMultipleSeeds(t *testing.T) {
 
 func TestFrontierEmptyTerminatesImmediately(t *testing.T) {
 	topo := ringTopology(t, 8)
-	eng := NewEngine[int, int](topo, &hopProg{hops: 3}, Config[int]{
+	eng := NewEngine[int](topo, &hopProg{hops: 3}, Config{
 		NumWorkers: 2, MaxSupersteps: 5, Frontier: []int32{},
 	})
 	if err := eng.Run(); err != nil {
@@ -100,7 +100,7 @@ func TestFrontierOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic on out-of-range frontier vertex")
 		}
 	}()
-	NewEngine[int, int](ringTopology(t, 4), &hopProg{}, Config[int]{
+	NewEngine[int](ringTopology(t, 4), &hopProg{}, Config{
 		NumWorkers: 1, Frontier: []int32{9},
 	})
 }

@@ -20,7 +20,7 @@ func ldgFor(t *testing.T, topo Topology, workers int) graph.Partitioner {
 // TestPlacementDoesNotChangeValues: the engine's headline invariant for
 // pluggable partitioning — an integer-exact program produces identical
 // values under hash and LDG placements, at every worker count, with and
-// without combining, on both message planes.
+// without combining.
 func TestPlacementDoesNotChangeValues(t *testing.T) {
 	topo := randomTopology(t, 80, 400, 21)
 	_, ref := runColSum(t, topo, 1, false, false)
@@ -31,37 +31,16 @@ func TestPlacementDoesNotChangeValues(t *testing.T) {
 			if combine {
 				ops.Combine = colSumCombiner
 			}
-			ce := NewEngine[float32, [3]float32](topo, &colSumProg{rounds: 4}, Config[[3]float32]{
+			ce := NewEngine[float32](topo, &colSumProg{rounds: 4}, Config{
 				NumWorkers: workers, Columnar: ops, Partitioner: part, Parallel: true,
 			})
 			if err := ce.Run(); err != nil {
 				t.Fatal(err)
 			}
-			be := NewEngine[float32, [3]float32](topo, &boxedSumProg{rounds: 4}, Config[[3]float32]{
-				NumWorkers:   workers,
-				Partitioner:  part,
-				MessageBytes: func(m [3]float32) int { return 4*len(m) + 16 },
-			})
-			if combine {
-				// Rebuild with the combiner (Config is by value).
-				be = NewEngine[float32, [3]float32](topo, &boxedSumProg{rounds: 4}, Config[[3]float32]{
-					NumWorkers:   workers,
-					Partitioner:  part,
-					Combiner:     boxedSumCombiner,
-					MessageBytes: func(m [3]float32) int { return 4*len(m) + 16 },
-				})
-			}
-			if err := be.Run(); err != nil {
-				t.Fatal(err)
-			}
 			for v := range ref {
 				if ce.Values()[v] != ref[v] {
-					t.Fatalf("workers=%d combine=%v: LDG columnar value[%d] = %v, hash-1-worker %v",
+					t.Fatalf("workers=%d combine=%v: LDG value[%d] = %v, hash-1-worker %v",
 						workers, combine, v, ce.Values()[v], ref[v])
-				}
-				if be.Values()[v] != ref[v] {
-					t.Fatalf("workers=%d combine=%v: LDG boxed value[%d] = %v, hash-1-worker %v",
-						workers, combine, v, be.Values()[v], ref[v])
 				}
 			}
 		}
@@ -81,9 +60,8 @@ func TestDeliveryOrderIsCanonical(t *testing.T) {
 	}
 	run := func(workers int, part graph.Partitioner) []int32 {
 		cp := &orderProgCol{}
-		ce := NewEngine[int, [3]float32](topo, cp, Config[[3]float32]{
-			NumWorkers: workers, MaxSupersteps: 4, Parallel: true,
-			Columnar: &ColumnarOps{}, Partitioner: part,
+		ce := NewEngine[int](topo, cp, Config{
+			NumWorkers: workers, MaxSupersteps: 4, Parallel: true, Partitioner: part,
 		})
 		if err := ce.Run(); err != nil {
 			t.Fatal(err)
@@ -127,8 +105,8 @@ func TestRemoteTrafficAccounting(t *testing.T) {
 	topo := GraphTopology{G: b.Build()}
 
 	totals := func(part graph.Partitioner, workers int) (sent, remote int64) {
-		eng := NewEngine[float32, [3]float32](topo, &colSumProg{rounds: 3}, Config[[3]float32]{
-			NumWorkers: workers, Columnar: &ColumnarOps{}, Partitioner: part,
+		eng := NewEngine[float32](topo, &colSumProg{rounds: 3}, Config{
+			NumWorkers: workers, Partitioner: part,
 		})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -161,7 +139,7 @@ func TestPartitionerWorkerCountMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewEngine[int, int](topo, &echoProgram{}, Config[int]{
+	NewEngine[int](topo, &hopProg{}, Config{
 		NumWorkers: 3, Partitioner: graph.NewPartitioner(2),
 	})
 }

@@ -140,7 +140,7 @@ func (a *inboxAsm) reset() {
 // startAssembly resets every receiver's assembler and, under Parallel
 // execution, starts one drain goroutine per receiver. Must run before any
 // compute can flush an extent.
-func (e *Engine[V, M]) startAssembly() {
+func (e *Engine[V]) startAssembly() {
 	parallel := e.cfg.Parallel && e.cfg.NumWorkers > 1
 	for r := range e.asm {
 		a := e.asm[r]
@@ -165,7 +165,7 @@ func (e *Engine[V, M]) startAssembly() {
 // goroutines are joined, establishing the happens-before edge the barrier's
 // reads of assembler state rely on. A no-op in serial runs (assembly already
 // happened inline).
-func (e *Engine[V, M]) finishAssembly() {
+func (e *Engine[V]) finishAssembly() {
 	for _, a := range e.asm {
 		if a.queue != nil {
 			close(a.queue)
@@ -185,7 +185,7 @@ func (e *Engine[V, M]) finishAssembly() {
 // column views — so the rows themselves (including in-place combiner merges
 // into already-sealed rows, which never change a row's dst, kind or length)
 // are produced exactly as on the BSP plane.
-func (w *worker[V, M]) sealChunk() {
+func (w *worker[V]) sealChunk() {
 	e := w.engine
 	if !e.pipelined {
 		return
@@ -221,7 +221,7 @@ func (w *worker[V, M]) sealChunk() {
 // assembly interleave arbitrarily, which cannot affect results: an extent
 // is assembled exactly once, and assembleExtent only does commutative
 // integer accumulation into per-receiver state.
-func (w *worker[V, M]) flushExtent(a *inboxAsm, r int, ext extent) {
+func (w *worker[V]) flushExtent(a *inboxAsm, r int, ext extent) {
 	e := w.engine
 	if !a.degraded.Load() {
 		if e.watchdog <= 0 {
@@ -254,7 +254,7 @@ func (w *worker[V, M]) flushExtent(a *inboxAsm, r int, ext extent) {
 // the watchdog is armed (the only case where a degraded sender can be
 // assembling concurrently with the drain goroutine). With the watchdog
 // disabled the lock is skipped — single-owner assembly, as before.
-func (e *Engine[V, M]) assembleGuarded(a *inboxAsm, r int, ext extent) {
+func (e *Engine[V]) assembleGuarded(a *inboxAsm, r int, ext extent) {
 	if e.watchdog > 0 {
 		a.mu.Lock()
 		defer a.mu.Unlock()
@@ -264,11 +264,11 @@ func (e *Engine[V, M]) assembleGuarded(a *inboxAsm, r int, ext extent) {
 
 // WatchdogTrips reports how many times a pipelined sender timed out on a
 // backpressured assembler and degraded it to inline assembly.
-func (e *Engine[V, M]) WatchdogTrips() int { return int(atomic.LoadInt64(&e.watchdogTrips)) }
+func (e *Engine[V]) WatchdogTrips() int { return int(atomic.LoadInt64(&e.watchdogTrips)) }
 
 // sealTail flushes the worker's final partial chunk at the end of its
 // compute phase; a no-op outside the pipelined plane.
-func (w *worker[V, M]) sealTail() { w.sealChunk() }
+func (w *worker[V]) sealTail() { w.sealChunk() }
 
 // assembleExtent is the background inbox assembly for one sealed extent: one
 // pass bucketing rows into the counting sort's per-vertex counts, plus wire
@@ -276,7 +276,7 @@ func (w *worker[V, M]) sealTail() { w.sealChunk() }
 // shape. It reads only the extent's captured dst/kind/len views — immutable
 // after append — so the sender's concurrent appends and combiner merges
 // (which rewrite counts and payload extents only) cannot race with it.
-func (e *Engine[V, M]) assembleExtent(r int, ext extent) {
+func (e *Engine[V]) assembleExtent(r int, ext extent) {
 	a := e.asm[r]
 	cnt := a.cnt
 	mail := 0
@@ -309,7 +309,7 @@ func (e *Engine[V, M]) assembleExtent(r int, ext extent) {
 // StepMetrics entry (splitting the remote share, as accountSent does) and
 // stashes each receiver's totals for the next superstep's compute. Runs
 // serially at the barrier, after delivery.
-func (e *Engine[V, M]) foldAssemblyMetrics() {
+func (e *Engine[V]) foldAssemblyMetrics() {
 	nw := e.cfg.NumWorkers
 	for r := 0; r < nw; r++ {
 		a := e.asm[r]
@@ -333,7 +333,7 @@ func (e *Engine[V, M]) foldAssemblyMetrics() {
 // buffer — which yields the exact globally-ascending-source order of the BSP
 // merge without its per-row head scan. Payloads stay zero-copy views into
 // the sender arenas.
-func (e *Engine[V, M]) deliverPipelined(r int) {
+func (e *Engine[V]) deliverPipelined(r int) {
 	a := e.asm[r]
 	in := &e.colIn[r]
 	nw := e.cfg.NumWorkers

@@ -8,16 +8,16 @@ import (
 // The pipelined plane must be a pure scheduling change: chunked eager
 // flushing and background inbox assembly may move delivery work around, but
 // values, per-destination delivery order, and every metric must stay
-// bit-identical to the BSP columnar path at any chunk size, pipeline depth,
+// bit-identical to the BSP path at any chunk size, pipeline depth,
 // worker count, and parallelism setting.
 
-// pipeCfg builds a pipelined columnar config.
-func pipeCfg(workers int, combine, parallel bool, chunk int) Config[[3]float32] {
+// pipeCfg builds a pipelined config.
+func pipeCfg(workers int, combine, parallel bool, chunk int) Config {
 	ops := &ColumnarOps{}
 	if combine {
 		ops.Combine = colSumCombiner
 	}
-	return Config[[3]float32]{
+	return Config{
 		NumWorkers: workers,
 		Parallel:   parallel,
 		Columnar:   ops,
@@ -26,9 +26,9 @@ func pipeCfg(workers int, combine, parallel bool, chunk int) Config[[3]float32] 
 	}
 }
 
-func runPipelined(t *testing.T, topo Topology, prog VertexProgram[float32, [3]float32], cfg Config[[3]float32]) (*Engine[float32, [3]float32], []float32) {
+func runPipelined(t *testing.T, topo Topology, prog VertexProgram[float32], cfg Config) (*Engine[float32], []float32) {
 	t.Helper()
-	eng := NewEngine[float32, [3]float32](topo, prog, cfg)
+	eng := NewEngine[float32](topo, prog, cfg)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func runPipelined(t *testing.T, topo Topology, prog VertexProgram[float32, [3]fl
 // requireSameMetrics compares the full per-superstep, per-worker metric
 // history — not just totals — so a pipelined run that shifted accounting to
 // the wrong superstep fails loudly.
-func requireSameMetrics(t *testing.T, label string, want, got *Engine[float32, [3]float32]) {
+func requireSameMetrics(t *testing.T, label string, want, got *Engine[float32]) {
 	t.Helper()
 	wm, gm := want.Metrics(), got.Metrics()
 	if len(wm) != len(gm) {
@@ -103,8 +103,8 @@ func TestPipelinedFanMatchesBSP(t *testing.T) {
 				if combine {
 					ops.Combine = colSumCombiner
 				}
-				fe := NewEngine[float32, [3]float32](topo, &colFanProg{rounds: 4},
-					Config[[3]float32]{NumWorkers: workers, Columnar: ops})
+				fe := NewEngine[float32](topo, &colFanProg{rounds: 4},
+					Config{NumWorkers: workers, Columnar: ops})
 				if err := fe.Run(); err != nil {
 					t.Fatal(err)
 				}
@@ -155,16 +155,14 @@ func TestPipelinedDeliveryOrder(t *testing.T) {
 	topo := ringTopology(t, 13)
 	for _, workers := range []int{1, 2, 4, 5} {
 		bp := &orderProgCol{}
-		be := NewEngine[int, [3]float32](topo, bp, Config[[3]float32]{
-			NumWorkers: workers, MaxSupersteps: 4, Columnar: &ColumnarOps{},
-		})
+		be := NewEngine[int](topo, bp, Config{NumWorkers: workers, MaxSupersteps: 4})
 		if err := be.Run(); err != nil {
 			t.Fatal(err)
 		}
 		pp := &orderProgCol{}
-		pe := NewEngine[int, [3]float32](topo, pp, Config[[3]float32]{
+		pe := NewEngine[int](topo, pp, Config{
 			NumWorkers: workers, MaxSupersteps: 4, Parallel: true,
-			Columnar: &ColumnarOps{}, Pipelined: true, ChunkSize: 2, PipelineDepth: 1,
+			Pipelined: true, ChunkSize: 2, PipelineDepth: 1,
 		})
 		if err := pe.Run(); err != nil {
 			t.Fatal(err)
@@ -186,8 +184,8 @@ func TestPipelinedDeliveryOrder(t *testing.T) {
 func TestPipelinedWorkerMail(t *testing.T) {
 	topo := ringTopology(t, 9)
 	prog := &mailProg{sawMail: make([]bool, 3)}
-	eng := NewEngine[int, [3]float32](topo, prog, Config[[3]float32]{
-		NumWorkers: 3, MaxSupersteps: 4, Columnar: &ColumnarOps{}, Pipelined: true, ChunkSize: 1,
+	eng := NewEngine[int](topo, prog, Config{
+		NumWorkers: 3, MaxSupersteps: 4, Pipelined: true, ChunkSize: 1,
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -199,25 +197,13 @@ func TestPipelinedWorkerMail(t *testing.T) {
 	}
 }
 
-// TestPipelinedRequiresColumnar: the pipelined plane has no boxed form.
-func TestPipelinedRequiresColumnar(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewEngine[float32, [3]float32](ringTopology(t, 4), &boxedSumProg{rounds: 2}, Config[[3]float32]{
-		NumWorkers: 2, Pipelined: true,
-	})
-}
-
 // frontierProg keeps only a tiny moving frontier sending: vertex k sends to
 // its out-neighbors at superstep k, everyone else stays halted. Sparse
 // supersteps drive the ownership merge's jump-to-lowest-head path (the
 // frontier sources sit far apart in the id space).
 type frontierProg struct{ rounds int }
 
-func (p *frontierProg) Compute(ctx *Context[float32, [3]float32], _ [][3]float32) {
+func (p *frontierProg) Compute(ctx *Context[float32]) {
 	if ctx.Superstep > 0 {
 		in := ctx.ColumnarInbox()
 		for i := 0; i < in.Len(); i++ {
@@ -240,19 +226,17 @@ func (p *frontierProg) Compute(ctx *Context[float32, [3]float32], _ [][3]float32
 // semantic change.
 func TestPipelinedSparseFrontierMatchesBSP(t *testing.T) {
 	topo := randomTopology(t, 400, 1600, 23)
-	run := func(cfg Config[[3]float32]) (*Engine[float32, [3]float32], []float32) {
+	run := func(cfg Config) (*Engine[float32], []float32) {
 		cfg.MaxSupersteps = 12
-		eng := NewEngine[float32, [3]float32](topo, &frontierProg{rounds: 10}, cfg)
+		eng := NewEngine[float32](topo, &frontierProg{rounds: 10}, cfg)
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return eng, append([]float32(nil), eng.Values()...)
 	}
 	for _, workers := range []int{3, 8} {
-		be, bv := run(Config[[3]float32]{NumWorkers: workers, Columnar: &ColumnarOps{}})
-		pe, pv := run(Config[[3]float32]{
-			NumWorkers: workers, Columnar: &ColumnarOps{}, Pipelined: true, ChunkSize: 16, Parallel: true,
-		})
+		be, bv := run(Config{NumWorkers: workers})
+		pe, pv := run(Config{NumWorkers: workers, Pipelined: true, ChunkSize: 16, Parallel: true})
 		for v := range bv {
 			if bv[v] != pv[v] {
 				t.Fatalf("workers=%d: value[%d] bsp %v pipelined %v", workers, v, bv[v], pv[v])
@@ -266,7 +250,7 @@ func TestPipelinedSparseFrontierMatchesBSP(t *testing.T) {
 // src 0 regardless of the computing vertex.
 type badSrcProg struct{}
 
-func (badSrcProg) Compute(ctx *Context[float32, [3]float32], _ [][3]float32) {
+func (badSrcProg) Compute(ctx *Context[float32]) {
 	if ctx.Superstep >= 1 {
 		ctx.VoteToHalt()
 		return
@@ -285,8 +269,8 @@ func TestPipelinedSrcContractPanic(t *testing.T) {
 			t.Fatal("expected the delivery-stall panic")
 		}
 	}()
-	eng := NewEngine[float32, [3]float32](randomTopology(t, 40, 200, 5), badSrcProg{}, Config[[3]float32]{
-		NumWorkers: 4, MaxSupersteps: 3, Columnar: &ColumnarOps{}, Pipelined: true,
+	eng := NewEngine[float32](randomTopology(t, 40, 200, 5), badSrcProg{}, Config{
+		NumWorkers: 4, MaxSupersteps: 3, Pipelined: true,
 	})
 	_ = eng.Run()
 }

@@ -6,44 +6,44 @@
 // messages along out-edges for the next superstep.
 //
 // The engine reproduces the system behaviours the paper's evaluation
-// depends on: sender-side combiners (the hook partial-gather uses), global
-// aggregators (the hook broadcast uses), deterministic message delivery, and
-// per-worker, per-superstep traffic/compute accounting that feeds the
-// cluster cost model.
+// depends on: sender-side combiners (the hook partial-gather uses), worker
+// mailboxes (the hook broadcast uses: one payload per destination worker,
+// resolved by lightweight per-edge references), deterministic message
+// delivery, and per-worker, per-superstep traffic/compute accounting that
+// feeds the cluster cost model.
 //
-// Messages travel over one of two planes. The boxed plane carries M values
-// (the classic Pregel API: SendMessage / Compute's msgs slice). The
-// columnar plane (Config.Columnar, see columnar.go) carries fixed-header
-// messages with payloads packed into recycled []float32 arenas — the
-// allocation-free fast path the GNN driver uses. Both planes share the same
-// barrier: a counting sort builds per-receiver CSR inboxes, with delivery
-// parallelized across receiving workers. Each receiver owns a disjoint
-// vertex range and merges its sender buffers by ascending source vertex id
-// — well-defined because workers compute their owned vertices in id order,
-// making every sender buffer source-sorted, and because a source is owned
-// by exactly one worker. Per-destination message order is therefore a
-// function of the topology and the program alone: identical at any worker
-// count, under any vertex placement (Config.Partitioner), parallel or not —
-// which is what makes results bit-identical across all of those axes.
+// Messages travel over one columnar plane (see columnar.go): fixed-header
+// messages — an opaque kind byte, a source id and a count — whose payloads
+// are packed into recycled []float32 arenas, so a steady-state superstep
+// allocates nothing per message. Config.Columnar tunes it (combiner, wire
+// pricing, buffer reservation). At the barrier a counting sort builds
+// per-receiver CSR inboxes, with delivery parallelized across receiving
+// workers. Each receiver owns a disjoint vertex range and merges its sender
+// buffers by ascending source vertex id — well-defined because workers
+// compute their owned vertices in id order, making every sender buffer
+// source-sorted, and because a source is owned by exactly one worker.
+// Per-destination message order is therefore a function of the topology and
+// the program alone: identical at any worker count, under any vertex
+// placement (Config.Partitioner), parallel or not — which is what makes
+// results bit-identical across all of those axes.
 //
 // Vertex placement defaults to mod-N hashing and is pluggable through
 // Config.Partitioner; the engine converts whatever placement it is given
 // into dense workerOf/localIdx tables once, so the per-message hot paths
 // never depend on the strategy.
 //
-// Compute likewise runs on one of two planes. The classic per-vertex plane
-// invokes Compute once per active vertex. The batched plane (Config.Batched,
-// columnar only) invokes ComputeBatch once per worker per superstep with the
-// worker's whole owned range and its full CSR inbox, so partition-centric
-// programs can replace millions of tiny per-vertex operations with a few
-// dense kernel calls; see BatchProgram for the equivalence contract.
+// Compute runs on one of two planes. The classic per-vertex plane invokes
+// Compute once per active vertex. The batched plane (Config.Batched)
+// invokes ComputeBatch once per worker per superstep with the worker's
+// whole owned range and its full CSR inbox, so partition-centric programs
+// can replace millions of tiny per-vertex operations with a few dense
+// kernel calls; see BatchProgram for the equivalence contract.
 //
 // Superstep execution itself is strict BSP by default; Config.Pipelined
-// (columnar only) overlaps each superstep's scatter/delivery with its
-// compute through chunked eager flushing and background inbox assembly,
-// shrinking the barrier to a drain plus the source merge — with results,
-// delivery order and IO accounting bit-identical to the BSP path. See
-// pipeline.go.
+// overlaps each superstep's scatter/delivery with its compute through
+// chunked eager flushing and background inbox assembly, shrinking the
+// barrier to a drain plus the source merge — with results, delivery order
+// and IO accounting bit-identical to the BSP path. See pipeline.go.
 package pregel
 
 import (
@@ -83,12 +83,13 @@ func (t GraphTopology) OutEdges(v int32) (dsts, eids []int32) {
 }
 
 // VertexProgram is the user computation. Compute runs once per active vertex
-// per superstep; at superstep 0 msgs is empty (the initialization step).
-// msgs (and the *Context) are only valid for the duration of the call: the
-// engine recycles message storage across supersteps, so programs that need a
-// message beyond their Compute invocation must copy it.
-type VertexProgram[V, M any] interface {
-	Compute(ctx *Context[V, M], msgs []M)
+// per superstep; at superstep 0 the inbox is empty (the initialization
+// step). The *Context and every view it returns (Context.ColumnarInbox) are
+// only valid for the duration of the call: the engine recycles message
+// storage across supersteps, so programs that need a message beyond their
+// Compute invocation must copy it.
+type VertexProgram[V any] interface {
+	Compute(ctx *Context[V])
 }
 
 // BatchProgram is the partition-centric compute plane: instead of one
@@ -96,8 +97,8 @@ type VertexProgram[V, M any] interface {
 // per superstep with the worker's whole owned-vertex range and its full CSR
 // columnar inbox. Programs that batch their per-vertex work into dense
 // kernel calls (the GNN driver's one MatMul per layer per partition) avoid
-// the per-vertex dispatch and allocation the classic API forces. Requires
-// the columnar message plane (Config.Columnar) and Config.Batched.
+// the per-vertex dispatch and allocation the classic API forces. Selected by
+// Config.Batched.
 //
 // Engine semantics are unchanged: the engine still does the activity
 // accounting per vertex (a vertex is computed this superstep iff it is
@@ -106,8 +107,8 @@ type VertexProgram[V, M any] interface {
 // same CSR order the per-vertex plane observes — so a batch program that
 // folds each vertex's inbox range in order reproduces the per-vertex plane
 // bit for bit.
-type BatchProgram[V, M any] interface {
-	ComputeBatch(ctx *BatchContext[V, M])
+type BatchProgram[V any] interface {
+	ComputeBatch(ctx *BatchContext[V])
 }
 
 // ProgramStater is implemented by programs that keep superstep-to-superstep
@@ -123,7 +124,7 @@ type ProgramStater interface {
 }
 
 // Config tunes an engine run.
-type Config[M any] struct {
+type Config struct {
 	NumWorkers    int
 	MaxSupersteps int
 	// Partitioner places vertices on workers. nil selects the mod-N hash
@@ -134,24 +135,13 @@ type Config[M any] struct {
 	// merges group by sending worker, so placement additionally regroups
 	// the combiner's folds (each configuration stays deterministic).
 	Partitioner graph.Partitioner
-	// Combiner, when non-nil, merges messages addressed to the same
-	// destination vertex on the sender side before transmission — Pregel's
-	// combining, the mechanism behind the paper's partial-gather. Returning
-	// false declines the merge (e.g. union-aggregated GAT messages), leaving
-	// both messages to be delivered individually. Ignored in columnar mode
-	// (use Columnar.Combine).
-	Combiner func(a, b M) (M, bool)
-	// MessageBytes estimates the wire size of a message for the IO
-	// accounting. Defaults to a constant 64 bytes when nil. Ignored in
-	// columnar mode (use Columnar.Bytes).
-	MessageBytes func(M) int
-	// Columnar, when non-nil, switches the engine onto the columnar message
-	// plane: programs send payload rows instead of boxed M values and read
-	// them back as zero-copy Batch views. See ColumnarOps.
+	// Columnar tunes the message plane: the sender-side combiner, wire
+	// pricing and send-buffer reservation. nil selects the defaults (no
+	// combining, 4*payloadLen+16 bytes per message). See ColumnarOps.
 	Columnar *ColumnarOps
 	// Batched invokes the program's ComputeBatch once per worker per
-	// superstep instead of Compute once per vertex. Requires the columnar
-	// plane and a program implementing BatchProgram.
+	// superstep instead of Compute once per vertex. Requires a program
+	// implementing BatchProgram.
 	Batched bool
 	// Pipelined overlaps each superstep's scatter/delivery with its compute:
 	// workers seal their send buffers into fixed-size chunk extents and
@@ -161,10 +151,10 @@ type Config[M any] struct {
 	// in-flight extents plus the ascending-source merge over the pre-bucketed
 	// runs (see pipeline.go). Results, delivery order and IO stats are
 	// bit-identical to the BSP path at any chunk size, pipeline depth and
-	// worker count. Requires the columnar plane, and requires programs to
-	// follow the SendColumnar src contract (src = the computing vertex's id —
-	// every bundled program and the GNN driver do); a violating program fails
-	// with a deterministic panic at the delivery barrier.
+	// worker count. Requires programs to follow the SendColumnar src
+	// contract (src = the computing vertex's id, as the GNN drivers send); a
+	// violating program fails with a deterministic panic at the delivery
+	// barrier.
 	Pipelined bool
 	// ChunkSize is the pipelined plane's chunk granularity in owned vertices:
 	// the per-vertex plane seals automatically every ChunkSize vertices, and
@@ -185,17 +175,9 @@ type Config[M any] struct {
 	// CheckpointEvery snapshots engine state every n supersteps (0 = off),
 	// enabling recovery after a worker failure. Vertex programs must
 	// replace, not mutate, their value contents for snapshots to be sound
-	// (both bundled algorithms and the GNN driver do). In-flight message
-	// payloads need no such discipline: snapshots deep-copy the live arenas.
+	// (the GNN driver does). In-flight message payloads need no such
+	// discipline: snapshots deep-copy the live arenas.
 	CheckpointEvery int
-	// FailAtSuperstep injects one simulated worker crash at the given
-	// superstep (> 0; the zero value disables injection): that superstep's
-	// work is lost and the engine restores the latest checkpoint and
-	// re-executes. Kept for back-compat — it folds into the Faults plan as a
-	// FaultBeforeSuperstep entry; use Faults to target superstep 0 (which
-	// this field's zero-value overload cannot express) or any other fault
-	// point.
-	FailAtSuperstep int
 	// Faults schedules deterministic crash injections: multiple crashes per
 	// run, at any superstep lifecycle point (before compute, mid-pipeline,
 	// at the barrier, during checkpoint capture). See FaultPlan. nil injects
@@ -255,10 +237,10 @@ type StepMetrics struct {
 }
 
 // Context is handed to Compute; it exposes the vertex, its mutable value,
-// messaging, aggregators and cost accounting. The engine reuses one Context
-// per worker across vertices, so programs must not retain it past Compute.
-type Context[V, M any] struct {
-	worker    *worker[V, M]
+// messaging and cost accounting. The engine reuses one Context per worker
+// across vertices, so programs must not retain it past Compute.
+type Context[V any] struct {
+	worker    *worker[V]
 	ID        int32
 	Superstep int
 	Value     *V
@@ -268,45 +250,31 @@ type Context[V, M any] struct {
 }
 
 // NumWorkers returns the configured worker count.
-func (c *Context[V, M]) NumWorkers() int { return c.worker.engine.cfg.NumWorkers }
+func (c *Context[V]) NumWorkers() int { return c.worker.engine.cfg.NumWorkers }
 
 // WorkerID returns the worker executing this vertex.
-func (c *Context[V, M]) WorkerID() int { return c.worker.id }
+func (c *Context[V]) WorkerID() int { return c.worker.id }
 
 // OutEdges returns the vertex's out-edges from the topology.
-func (c *Context[V, M]) OutEdges() (dsts, eids []int32) {
+func (c *Context[V]) OutEdges() (dsts, eids []int32) {
 	return c.worker.engine.topo.OutEdges(c.ID)
 }
 
 // OutDegree returns the vertex's out-degree.
-func (c *Context[V, M]) OutDegree() int { return c.worker.engine.topo.OutDegree(c.ID) }
-
-// SendMessage routes m to vertex dst for the next superstep, applying the
-// sender-side combiner when configured. Boxed plane only.
-func (c *Context[V, M]) SendMessage(dst int32, m M) {
-	c.worker.send(c.ID, dst, m)
-}
-
-// SendToWorker routes m to a synthetic per-worker mailbox (vertex -1-w on
-// worker w); used by strategies that address workers rather than vertices.
-// Boxed plane only.
-func (c *Context[V, M]) SendToWorker(w int, m M) {
-	c.worker.sendToWorker(w, m)
-}
+func (c *Context[V]) OutDegree() int { return c.worker.engine.topo.OutDegree(c.ID) }
 
 // SendColumnar routes a columnar message to vertex dst for the next
 // superstep: kind is an opaque tag (also the combiner's merge gate), src and
 // count ride in header columns, and payload is copied into the send arena —
 // the caller's slice is not retained and may be reused immediately.
-// Columnar plane only.
 //
 // src is also the barrier's delivery-order key: pass the computing vertex's
-// id (ctx.ID), as every bundled program does. The engine then delivers each
+// id (ctx.ID), as the GNN drivers do. The engine then delivers each
 // destination's messages in globally ascending src order — independent of
 // vertex placement and worker count. A program that sends under arbitrary
 // src values still gets deterministic delivery, but the order degrades to a
 // placement-dependent one (sender-worker-id major).
-func (c *Context[V, M]) SendColumnar(dst int32, kind uint8, src, count int32, payload []float32) {
+func (c *Context[V]) SendColumnar(dst int32, kind uint8, src, count int32, payload []float32) {
 	c.worker.sendColumnar(dst, kind, src, count, payload)
 }
 
@@ -314,39 +282,33 @@ func (c *Context[V, M]) SendColumnar(dst int32, kind uint8, src, count int32, pa
 // dsts, in order, copying it into each destination-worker arena at most
 // once — results are identical to len(dsts) SendColumnar calls; only the
 // arena bytes moved differ. The natural send for broadcast-safe scatters.
-// Columnar plane only. src carries the same delivery-order contract as
-// SendColumnar: pass the computing vertex's id.
-func (c *Context[V, M]) SendColumnarFan(dsts []int32, kind uint8, src, count int32, payload []float32) {
+// src carries the same delivery-order contract as SendColumnar: pass the
+// computing vertex's id.
+func (c *Context[V]) SendColumnarFan(dsts []int32, kind uint8, src, count int32, payload []float32) {
 	c.worker.sendColumnarFan(dsts, kind, src, count, payload)
 }
 
 // SendColumnarToWorker routes a columnar message to worker w's mailbox
-// (read back via ColumnarWorkerMail). Columnar plane only.
-func (c *Context[V, M]) SendColumnarToWorker(w int, kind uint8, src, count int32, payload []float32) {
+// (read back via ColumnarMailbox) — the channel for strategies that
+// address workers rather than vertices, such as broadcast's one payload per
+// destination worker.
+func (c *Context[V]) SendColumnarToWorker(w int, kind uint8, src, count int32, payload []float32) {
 	c.worker.sendColumnarToWorker(w, kind, src, count, payload)
 }
 
 // ColumnarInbox returns the columnar messages addressed to this vertex for
 // the current superstep. The view (including payloads) is only valid during
-// Compute. Columnar plane only.
-func (c *Context[V, M]) ColumnarInbox() Batch {
-	e := c.worker.engine
-	if !e.columnar {
-		panic("pregel: ColumnarInbox on the boxed plane")
-	}
-	return e.colIn[c.worker.id].cols.batch(c.inLo, c.inHi)
+// Compute.
+func (c *Context[V]) ColumnarInbox() Batch {
+	return c.worker.engine.colIn[c.worker.id].cols.batch(c.inLo, c.inHi)
 }
 
-// ColumnarWorkerMail returns the columnar messages addressed to this worker
+// ColumnarMailbox returns the columnar messages addressed to this worker
 // (via SendColumnarToWorker) during the previous superstep. The view is
 // shared by every vertex the worker computes this superstep; callers must
-// not mutate it. Columnar plane only.
-func (c *Context[V, M]) ColumnarWorkerMail() Batch {
-	e := c.worker.engine
-	if !e.columnar {
-		panic("pregel: ColumnarWorkerMail on the boxed plane")
-	}
-	m := &e.colMail[c.worker.id]
+// not mutate it.
+func (c *Context[V]) ColumnarMailbox() Batch {
+	m := &c.worker.engine.colMail[c.worker.id]
 	return m.batch(0, int32(len(m.kinds)))
 }
 
@@ -355,106 +317,88 @@ func (c *Context[V, M]) ColumnarWorkerMail() Batch {
 // so it is the correct key for any per-superstep cache of zero-copy views:
 // a replayed superstep carries the same Superstep number as its original
 // execution but rebuilt inboxes and mailboxes.
-func (c *Context[V, M]) ExecSeq() int { return c.worker.engine.executed }
+func (c *Context[V]) ExecSeq() int { return c.worker.engine.executed }
 
 // VoteToHalt deactivates the vertex until a message arrives for it.
-func (c *Context[V, M]) VoteToHalt() { c.halted = true }
-
-// WorkerMail returns the messages addressed to this worker (via
-// SendToWorker) during the previous superstep. The slice is shared by every
-// vertex the worker computes this superstep; callers must not mutate it.
-// Boxed plane only.
-func (c *Context[V, M]) WorkerMail() []M { return c.worker.engine.boxMail[c.worker.id] }
+func (c *Context[V]) VoteToHalt() { c.halted = true }
 
 // AddCost charges user-defined compute units (e.g. flops) to this worker's
 // current superstep, feeding the cluster cost model.
-func (c *Context[V, M]) AddCost(units int64) { c.worker.stepCost += units }
-
-// AggregatorPut publishes a key/value into the global aggregator visible to
-// every worker in the NEXT superstep. Keys must be unique per superstep.
-func (c *Context[V, M]) AggregatorPut(key string, value []float32) {
-	c.worker.aggPut(key, value)
-}
-
-// AggregatorGet reads a value published during the PREVIOUS superstep.
-func (c *Context[V, M]) AggregatorGet(key string) ([]float32, bool) {
-	v, ok := c.worker.engine.aggPrev[key]
-	return v, ok
-}
+func (c *Context[V]) AddCost(units int64) { c.worker.stepCost += units }
 
 // BatchContext is handed to ComputeBatch: one call sees the worker's whole
 // partition for the superstep. Like Context it is only valid for the
 // duration of the call, and every view it returns (owned ids, inbox
 // columns, mailboxes) is engine-owned and must not be mutated or retained.
-type BatchContext[V, M any] struct {
-	worker    *worker[V, M]
+type BatchContext[V any] struct {
+	worker    *worker[V]
 	Superstep int
 }
 
 // NumWorkers returns the configured worker count.
-func (c *BatchContext[V, M]) NumWorkers() int { return c.worker.engine.cfg.NumWorkers }
+func (c *BatchContext[V]) NumWorkers() int { return c.worker.engine.cfg.NumWorkers }
 
 // WorkerID returns the worker executing this batch.
-func (c *BatchContext[V, M]) WorkerID() int { return c.worker.id }
+func (c *BatchContext[V]) WorkerID() int { return c.worker.id }
 
 // Owned returns the worker's owned vertex ids in local-index order: vertex
 // Owned()[li] has local index li, the row index of every per-partition
 // structure (the inbox CSR, a program's state slabs).
-func (c *BatchContext[V, M]) Owned() []int32 { return c.worker.verts }
+func (c *BatchContext[V]) Owned() []int32 { return c.worker.verts }
 
 // Computed reports whether local vertex li computes this superstep — it is
 // active or has inbox messages — i.e. whether the per-vertex plane would
 // have invoked Compute for it. Programs whose vertices never halt mid-run
 // (the GNN driver) can ignore this and process the full range.
-func (c *BatchContext[V, M]) Computed(li int) bool { return c.worker.computed[li] }
+func (c *BatchContext[V]) Computed(li int) bool { return c.worker.computed[li] }
 
 // Value returns vertex v's engine-resident value. Batch programs that keep
 // their state in their own slabs (see ProgramStater) typically never touch
 // it.
-func (c *BatchContext[V, M]) Value(v int32) *V { return &c.worker.engine.values[v] }
+func (c *BatchContext[V]) Value(v int32) *V { return &c.worker.engine.values[v] }
 
 // InboxCSR returns the worker's full columnar inbox for the superstep as a
 // CSR view: local vertex li's messages are msgs[off[li]:off[li+1]], in the
 // same per-destination delivery order the per-vertex plane observes. The
 // view is only valid during ComputeBatch.
-func (c *BatchContext[V, M]) InboxCSR() (off []int32, msgs Batch) {
+func (c *BatchContext[V]) InboxCSR() (off []int32, msgs Batch) {
 	in := &c.worker.engine.colIn[c.worker.id]
 	off = in.off
 	return off, in.cols.batch(0, off[len(off)-1])
 }
 
-// ColumnarWorkerMail returns the columnar messages addressed to this worker
-// during the previous superstep; see Context.ColumnarWorkerMail.
-func (c *BatchContext[V, M]) ColumnarWorkerMail() Batch {
+// ColumnarMailbox returns the columnar messages addressed to this worker
+// during the previous superstep; see Context.ColumnarMailbox.
+func (c *BatchContext[V]) ColumnarMailbox() Batch {
 	m := &c.worker.engine.colMail[c.worker.id]
 	return m.batch(0, int32(len(m.kinds)))
 }
 
 // OutEdges returns vertex v's out-edges from the topology.
-func (c *BatchContext[V, M]) OutEdges(v int32) (dsts, eids []int32) {
+func (c *BatchContext[V]) OutEdges(v int32) (dsts, eids []int32) {
 	return c.worker.engine.topo.OutEdges(v)
 }
 
 // OutDegree returns vertex v's out-degree.
-func (c *BatchContext[V, M]) OutDegree(v int32) int { return c.worker.engine.topo.OutDegree(v) }
+func (c *BatchContext[V]) OutDegree(v int32) int { return c.worker.engine.topo.OutDegree(v) }
 
 // SendColumnar routes a columnar message to vertex dst for the next
 // superstep; see Context.SendColumnar. Sends issued in owned-vertex order
 // produce the same send buffers — and therefore the same delivery order and
 // combiner merges — as the per-vertex plane.
-func (c *BatchContext[V, M]) SendColumnar(dst int32, kind uint8, src, count int32, payload []float32) {
+func (c *BatchContext[V]) SendColumnar(dst int32, kind uint8, src, count int32, payload []float32) {
 	c.worker.sendColumnar(dst, kind, src, count, payload)
 }
 
 // SendColumnarFan routes one identical payload along every dst with at most
 // one payload copy per destination-worker arena; see Context.SendColumnarFan.
-func (c *BatchContext[V, M]) SendColumnarFan(dsts []int32, kind uint8, src, count int32, payload []float32) {
+func (c *BatchContext[V]) SendColumnarFan(dsts []int32, kind uint8, src, count int32, payload []float32) {
 	c.worker.sendColumnarFan(dsts, kind, src, count, payload)
 }
 
 // SendColumnarToWorker routes a columnar message to worker w's mailbox; see
 // Context.SendColumnarToWorker.
-func (c *BatchContext[V, M]) SendColumnarToWorker(w int, kind uint8, src, count int32, payload []float32) {
+func (c *BatchContext[V]) SendColumnarToWorker(w int, kind uint8, src, count int32, payload []float32) {
 	c.worker.sendColumnarToWorker(w, kind, src, count, payload)
 }
 
@@ -462,7 +406,7 @@ func (c *BatchContext[V, M]) SendColumnarToWorker(w int, kind uint8, src, count 
 // vertices, or 0 when the engine is not pipelined. Batch programs drive the
 // pipeline themselves: scatter loops should call FlushChunk every ChunkSize
 // owned vertices (the cadence the per-vertex plane seals at automatically).
-func (c *BatchContext[V, M]) ChunkSize() int {
+func (c *BatchContext[V]) ChunkSize() int {
 	if !c.worker.engine.pipelined {
 		return 0
 	}
@@ -474,63 +418,30 @@ func (c *BatchContext[V, M]) ChunkSize() int {
 // assemblers. A no-op outside the pipelined plane. Calling it at any cadence
 // (or never) only changes when delivery work happens, never results: sealed
 // extents are concatenated in send order at the barrier.
-func (c *BatchContext[V, M]) FlushChunk() { c.worker.sealChunk() }
+func (c *BatchContext[V]) FlushChunk() { c.worker.sealChunk() }
 
 // ExecSeq returns the engine's executed-superstep count; see
 // Context.ExecSeq.
-func (c *BatchContext[V, M]) ExecSeq() int { return c.worker.engine.executed }
+func (c *BatchContext[V]) ExecSeq() int { return c.worker.engine.executed }
 
 // AddCost charges user-defined compute units to this worker's superstep.
-func (c *BatchContext[V, M]) AddCost(units int64) { c.worker.stepCost += units }
+func (c *BatchContext[V]) AddCost(units int64) { c.worker.stepCost += units }
 
 // Halt deactivates local vertex li until a message arrives for it — the
 // batched form of Context.VoteToHalt. Only computed vertices are affected.
-func (c *BatchContext[V, M]) Halt(li int) { c.worker.halted[li] = true }
+func (c *BatchContext[V]) Halt(li int) { c.worker.halted[li] = true }
 
 // HaltAll deactivates every computed vertex of the partition.
-func (c *BatchContext[V, M]) HaltAll() {
+func (c *BatchContext[V]) HaltAll() {
 	for i := range c.worker.halted {
 		c.worker.halted[i] = true
 	}
 }
 
-// AggregatorPut publishes a key/value into the global aggregator visible in
-// the next superstep; see Context.AggregatorPut.
-func (c *BatchContext[V, M]) AggregatorPut(key string, value []float32) {
-	c.worker.aggPut(key, value)
-}
-
-// AggregatorGet reads a value published during the previous superstep.
-func (c *BatchContext[V, M]) AggregatorGet(key string) ([]float32, bool) {
-	v, ok := c.worker.engine.aggPrev[key]
-	return v, ok
-}
-
-// pending is a boxed sender-side buffer of messages for one destination
-// worker, recycled across supersteps by truncation. srcs[i] records the
-// sending vertex of message i (the vertex that created the slot, for
-// combined messages; -1 for worker mail) — the key the barrier merges
-// sender buffers by.
-type pending[M any] struct {
-	dsts []int32
-	srcs []int32
-	msgs []M
-}
-
-// boxInbox is one receiver's CSR inbox on the boxed plane: vertex with local
-// index li holds msgs[off[li] : off[li+1]].
-type boxInbox[M any] struct {
-	off  []int32 // len ownedCount+1
-	next []int32 // scatter cursors, len ownedCount
-	msgs []M
-}
-
-type worker[V, M any] struct {
-	engine *Engine[V, M]
+type worker[V any] struct {
+	engine *Engine[V]
 	id     int
 	verts  []int32 // owned vertex ids
-
-	out []pending[M] // boxed send buffers, one per destination worker
 
 	// Dense sender-side combiner index replacing the per-superstep
 	// map[int32]int: lastSeen[dst] is the buffer index of the first message
@@ -559,56 +470,17 @@ type worker[V, M any] struct {
 	computed []bool
 	halted   []bool
 
-	// Fan-out scratch (len NumWorkers, columnar only): fanOff[dw] is the
-	// arena offset of the payload this fan already copied into destination
-	// worker dw's buffer, or -1.
+	// Fan-out scratch (len NumWorkers): fanOff[dw] is the arena offset of
+	// the payload this fan already copied into destination worker dw's
+	// buffer, or -1.
 	fanOff []int64
 
 	m        *StepMetrics // this worker's metrics entry for the current superstep
 	stepCost int64
-	aggLocal map[string][]float32
 }
 
-func (w *worker[V, M]) send(src, dst int32, m M) {
+func (w *worker[V]) sendColumnar(dst int32, kind uint8, src, count int32, pay []float32) {
 	e := w.engine
-	if e.columnar {
-		panic("pregel: SendMessage on the columnar plane")
-	}
-	dw := e.workerOf[dst]
-	p := &w.out[dw]
-	if e.cfg.Combiner != nil {
-		if w.seenStamp[dst] == w.stamp {
-			i := w.lastSeen[dst]
-			if merged, ok := e.cfg.Combiner(p.msgs[i], m); ok {
-				p.msgs[i] = merged
-				w.m.CombinedAway++
-				return
-			}
-		} else {
-			w.seenStamp[dst] = w.stamp
-			w.lastSeen[dst] = int32(len(p.dsts))
-		}
-	}
-	p.dsts = append(p.dsts, dst)
-	p.srcs = append(p.srcs, src)
-	p.msgs = append(p.msgs, m)
-}
-
-func (w *worker[V, M]) sendToWorker(dw int, m M) {
-	if w.engine.columnar {
-		panic("pregel: SendToWorker on the columnar plane")
-	}
-	p := &w.out[dw]
-	p.dsts = append(p.dsts, -1)
-	p.srcs = append(p.srcs, -1)
-	p.msgs = append(p.msgs, m)
-}
-
-func (w *worker[V, M]) sendColumnar(dst int32, kind uint8, src, count int32, pay []float32) {
-	e := w.engine
-	if !e.columnar {
-		panic("pregel: SendColumnar on the boxed plane")
-	}
 	dw := e.workerOf[dst]
 	b := e.colCur[w.id][dw]
 	if e.colCombine != nil {
@@ -642,11 +514,8 @@ func (w *worker[V, M]) sendColumnar(dst int32, kind uint8, src, count int32, pay
 // them copy-on-first-merge (see colBuf.mergeTarget) — delivered values, and
 // therefore results, are identical to issuing len(dsts) individual
 // sendColumnar calls; only the arena bytes differ.
-func (w *worker[V, M]) sendColumnarFan(dsts []int32, kind uint8, src, count int32, pay []float32) {
+func (w *worker[V]) sendColumnarFan(dsts []int32, kind uint8, src, count int32, pay []float32) {
 	e := w.engine
-	if !e.columnar {
-		panic("pregel: SendColumnarFan on the boxed plane")
-	}
 	fan := w.fanOff[:e.cfg.NumWorkers]
 	for i := range fan {
 		fan[i] = -1
@@ -683,32 +552,21 @@ func (w *worker[V, M]) sendColumnarFan(dsts []int32, kind uint8, src, count int3
 	}
 }
 
-func (w *worker[V, M]) sendColumnarToWorker(dw int, kind uint8, src, count int32, pay []float32) {
-	e := w.engine
-	if !e.columnar {
-		panic("pregel: SendColumnarToWorker on the boxed plane")
-	}
-	e.colCur[w.id][dw].add(-1, kind, src, count, pay)
-}
-
-func (w *worker[V, M]) aggPut(key string, value []float32) {
-	if w.aggLocal == nil {
-		w.aggLocal = map[string][]float32{}
-	}
-	w.aggLocal[key] = value
+func (w *worker[V]) sendColumnarToWorker(dw int, kind uint8, src, count int32, pay []float32) {
+	w.engine.colCur[w.id][dw].add(-1, kind, src, count, pay)
 }
 
 // Engine executes a vertex program over a topology.
-type Engine[V, M any] struct {
+type Engine[V any] struct {
 	topo  Topology
-	prog  VertexProgram[V, M]
-	batch BatchProgram[V, M] // non-nil iff cfg.Batched
-	cfg   Config[M]
+	prog  VertexProgram[V]
+	batch BatchProgram[V] // non-nil iff cfg.Batched
+	cfg   Config
 	part  graph.Partitioner
 
 	values  []V
 	active  []bool
-	workers []*worker[V, M]
+	workers []*worker[V]
 
 	// localIdx[v] caches part.LocalIndex(v) (the dense per-receiver inbox
 	// slot) and workerOf[v] caches part.WorkerFor(v): whatever the
@@ -723,18 +581,13 @@ type Engine[V, M any] struct {
 	mergeCur   [][]int
 	mergeHeads [][]int32
 
-	columnar   bool
 	colCombine func(kind uint8, acc, pay []float32, accCount, payCount int32) (int32, bool)
 	colBytes   func(kind uint8, payloadLen int) int
 
-	// Boxed plane: per-receiver CSR inboxes and worker mailboxes.
-	boxIn   []boxInbox[M]
-	boxMail [][]M
-
-	// Columnar plane: per-receiver inboxes/mailboxes plus the send-buffer
-	// generations. colCur[s][r] is filled by sender s during the current
-	// superstep; colLive holds the previous generation, whose arenas back
-	// the current inbox views, and recycles into colFree at the barrier.
+	// Per-receiver inboxes/mailboxes plus the send-buffer generations.
+	// colCur[s][r] is filled by sender s during the current superstep;
+	// colLive holds the previous generation, whose arenas back the current
+	// inbox views, and recycles into colFree at the barrier.
 	colIn   []colInbox
 	colMail []colCols
 	colCur  [][]*colBuf
@@ -755,8 +608,6 @@ type Engine[V, M any] struct {
 	inTotal   int // vertex-addressed messages awaiting the next superstep
 	mailTotal int // worker-addressed messages awaiting the next superstep
 
-	aggPrev map[string][]float32
-
 	metrics [][]StepMetrics // one entry per executed superstep (replays add entries)
 	// metricsSlab backs the per-superstep metrics windows: supersteps carve
 	// NumWorkers-wide windows out of one block allocation instead of
@@ -767,19 +618,18 @@ type Engine[V, M any] struct {
 	supersteps  int
 	executed    int // total supersteps executed, never rolled back by recovery
 
-	checkpoint *snapshot[V, M]
-	spare      *snapshot[V, M] // displaced checkpoint, recycled by the next capture
+	checkpoint *snapshot[V]
+	spare      *snapshot[V] // displaced checkpoint, recycled by the next capture
 	recoveries int
 	faults     []faultState
 
 	// Durable checkpointing (see durable.go): sink/codec attached via
 	// SetSink, snapshots encoded and written by one persister goroutine.
 	sink           checkpoint.Sink
-	codec          SnapshotCodec[V, M]
+	codec          SnapshotCodec[V]
 	encArena       segArena             // persister-goroutine-only encode scratch
 	encSegs        []checkpoint.Segment // persister-goroutine-only segment views
-	boxScratch     []byte               // persister-goroutine-only boxed-plane scratch
-	persistCh      chan *snapshot[V, M]
+	persistCh      chan *snapshot[V]
 	persistDone    chan struct{}
 	persistWG      sync.WaitGroup
 	persistMu      sync.Mutex
@@ -802,11 +652,10 @@ type Engine[V, M any] struct {
 // snapshot is a recovery point: everything the next superstep reads. All
 // fields are deep copies (payloads included — see columnar.go) and are
 // never written after capture.
-type snapshot[V, M any] struct {
-	step    int
-	values  []V
-	active  []bool
-	aggPrev map[string][]float32
+type snapshot[V any] struct {
+	step   int
+	values []V
+	active []bool
 
 	// ioDone (atomic) is 1 once the persister has finished with this
 	// snapshot (or it was never enqueued); takeCheckpoint only recycles a
@@ -816,12 +665,6 @@ type snapshot[V, M any] struct {
 	inTotal   int
 	mailTotal int
 
-	// boxed plane
-	boxOff  [][]int32
-	boxMsgs [][]M
-	boxMail [][]M
-
-	// columnar plane
 	colIn   []colSnap
 	colMail []colSnap
 	// pipelined plane: the receive totals the checkpointed superstep's
@@ -836,15 +679,15 @@ type snapshot[V, M any] struct {
 }
 
 // NewEngine constructs an engine; Run executes it.
-func NewEngine[V, M any](topo Topology, prog VertexProgram[V, M], cfg Config[M]) *Engine[V, M] {
+func NewEngine[V any](topo Topology, prog VertexProgram[V], cfg Config) *Engine[V] {
 	if cfg.NumWorkers <= 0 {
 		panic(fmt.Sprintf("pregel: invalid worker count %d", cfg.NumWorkers))
 	}
 	if cfg.MaxSupersteps <= 0 {
 		cfg.MaxSupersteps = 64
 	}
-	if cfg.MessageBytes == nil {
-		cfg.MessageBytes = func(M) int { return 64 }
+	if cfg.Columnar == nil {
+		cfg.Columnar = &ColumnarOps{}
 	}
 	part := cfg.Partitioner
 	if part == nil {
@@ -852,27 +695,25 @@ func NewEngine[V, M any](topo Topology, prog VertexProgram[V, M], cfg Config[M])
 	} else if part.NumWorkers() != cfg.NumWorkers {
 		panic(fmt.Sprintf("pregel: partitioner has %d workers, config %d", part.NumWorkers(), cfg.NumWorkers))
 	}
-	e := &Engine[V, M]{
-		topo:     topo,
-		prog:     prog,
-		cfg:      cfg,
-		part:     part,
-		columnar: cfg.Columnar != nil,
+	e := &Engine[V]{
+		topo:       topo,
+		prog:       prog,
+		cfg:        cfg,
+		part:       part,
+		colCombine: cfg.Columnar.Combine,
+		colBytes:   cfg.Columnar.Bytes,
+	}
+	if e.colBytes == nil {
+		e.colBytes = func(_ uint8, payloadLen int) int { return 4*payloadLen + 16 }
 	}
 	if cfg.Batched {
-		if !e.columnar {
-			panic("pregel: Config.Batched requires the columnar message plane")
-		}
-		bp, ok := prog.(BatchProgram[V, M])
+		bp, ok := prog.(BatchProgram[V])
 		if !ok {
 			panic("pregel: Config.Batched requires a program implementing BatchProgram")
 		}
 		e.batch = bp
 	}
 	if cfg.Pipelined {
-		if !e.columnar {
-			panic("pregel: Config.Pipelined requires the columnar message plane")
-		}
 		e.pipelined = true
 		e.chunkSize = cfg.ChunkSize
 		if e.chunkSize <= 0 {
@@ -887,7 +728,7 @@ func NewEngine[V, M any](topo Topology, prog VertexProgram[V, M], cfg Config[M])
 			e.watchdog = defaultWatchdog
 		}
 	}
-	e.faults = buildFaults(cfg)
+	e.faults = buildFaults(cfg.Faults)
 	n := topo.NumVertices()
 	e.values = make([]V, n)
 	e.active = make([]bool, n)
@@ -910,43 +751,25 @@ func NewEngine[V, M any](topo Topology, prog VertexProgram[V, M], cfg Config[M])
 		e.workerOf[v] = int32(e.part.WorkerFor(int32(v)))
 	}
 	nw := cfg.NumWorkers
-	combining := false
-	if e.columnar {
-		e.colCombine = cfg.Columnar.Combine
-		e.colBytes = cfg.Columnar.Bytes
-		if e.colBytes == nil {
-			e.colBytes = func(_ uint8, payloadLen int) int { return 4*payloadLen + 16 }
-		}
-		combining = e.colCombine != nil
-		e.colIn = make([]colInbox, nw)
-		e.colMail = make([]colCols, nw)
-		e.colCur = make([][]*colBuf, nw)
-		e.colLive = make([][]*colBuf, nw)
-		for s := 0; s < nw; s++ {
-			e.colCur[s] = make([]*colBuf, nw)
-			e.colLive[s] = make([]*colBuf, nw)
-		}
-		if e.pipelined {
-			e.pendIn = make([]inMetrics, nw)
-			e.asm = make([]*inboxAsm, nw)
-		}
-	} else {
-		combining = cfg.Combiner != nil
-		e.boxIn = make([]boxInbox[M], nw)
-		e.boxMail = make([][]M, nw)
+	e.colIn = make([]colInbox, nw)
+	e.colMail = make([]colCols, nw)
+	e.colCur = make([][]*colBuf, nw)
+	e.colLive = make([][]*colBuf, nw)
+	for s := 0; s < nw; s++ {
+		e.colCur[s] = make([]*colBuf, nw)
+		e.colLive[s] = make([]*colBuf, nw)
+	}
+	if e.pipelined {
+		e.pendIn = make([]inMetrics, nw)
+		e.asm = make([]*inboxAsm, nw)
 	}
 	e.mergeCur = make([][]int, nw)
 	e.mergeHeads = make([][]int32, nw)
 	for w := 0; w < nw; w++ {
 		e.mergeCur[w] = make([]int, nw)
 		e.mergeHeads[w] = make([]int32, nw)
-		wk := &worker[V, M]{engine: e, id: w, verts: e.part.NodesFor(w, n)}
-		if !e.columnar {
-			wk.out = make([]pending[M], nw)
-		} else {
-			wk.fanOff = make([]int64, nw)
-		}
-		if combining {
+		wk := &worker[V]{engine: e, id: w, verts: e.part.NodesFor(w, n), fanOff: make([]int64, nw)}
+		if e.colCombine != nil {
 			wk.lastSeen = make([]int32, n)
 			wk.seenStamp = make([]uint32, n)
 		}
@@ -959,13 +782,8 @@ func NewEngine[V, M any](topo Topology, prog VertexProgram[V, M], cfg Config[M])
 			wk.computed = make([]bool, owned)
 			wk.halted = make([]bool, owned)
 		}
-		if e.columnar {
-			e.colIn[w].off = make([]int32, owned+1)
-			e.colIn[w].next = make([]int32, owned)
-		} else {
-			e.boxIn[w].off = make([]int32, owned+1)
-			e.boxIn[w].next = make([]int32, owned)
-		}
+		e.colIn[w].off = make([]int32, owned+1)
+		e.colIn[w].next = make([]int32, owned)
 		e.workers = append(e.workers, wk)
 	}
 	return e
@@ -978,7 +796,7 @@ func NewEngine[V, M any](topo Topology, prog VertexProgram[V, M], cfg Config[M])
 // superstep is deterministic. With a durable sink attached (SetSink),
 // checkpoints are additionally persisted by a background goroutine whose
 // first failure surfaces from Run after the computation finishes.
-func (e *Engine[V, M]) Run() error {
+func (e *Engine[V]) Run() error {
 	if e.sink != nil {
 		e.startPersister()
 	}
@@ -992,7 +810,7 @@ func (e *Engine[V, M]) Run() error {
 	return err
 }
 
-func (e *Engine[V, M]) runLoop() error {
+func (e *Engine[V]) runLoop() error {
 	if e.cfg.CheckpointEvery > 0 && !e.resumed && len(e.faults) > 0 {
 		// The superstep-0 seed is the rollback target for faults injected
 		// before the first periodic checkpoint — the only way an in-process
@@ -1066,7 +884,7 @@ func (e *Engine[V, M]) runLoop() error {
 
 // recoverFromCrash rolls back to the latest checkpoint after an injected
 // crash at superstep step.
-func (e *Engine[V, M]) recoverFromCrash(step int) error {
+func (e *Engine[V]) recoverFromCrash(step int) error {
 	if e.checkpoint == nil {
 		return fmt.Errorf("pregel: worker failure at superstep %d with no checkpoint", step)
 	}
@@ -1080,7 +898,7 @@ func (e *Engine[V, M]) recoverFromCrash(step int) error {
 // persister when a durable sink is attached. Capture wall time is charged
 // to worker 0's metrics row of the superstep just finished (the initial
 // step-0 capture precedes all metrics and lands only in CheckpointStats).
-func (e *Engine[V, M]) takeCheckpoint(step int) {
+func (e *Engine[V]) takeCheckpoint(step int) {
 	t0 := time.Now()
 	cp := e.grabSpare()
 	e.captureSnapshotInto(cp, step)
@@ -1106,18 +924,18 @@ func (e *Engine[V, M]) takeCheckpoint(step int) {
 // grabSpare returns the previously displaced checkpoint for slab reuse once
 // the persister is done with it, else a fresh snapshot. Recycling makes the
 // steady-state capture cost a memcpy instead of an allocation storm.
-func (e *Engine[V, M]) grabSpare() *snapshot[V, M] {
+func (e *Engine[V]) grabSpare() *snapshot[V] {
 	if sp := e.spare; sp != nil && atomic.LoadUint32(&sp.ioDone) == 1 {
 		e.spare = nil
 		return sp
 	}
-	return &snapshot[V, M]{}
+	return &snapshot[V]{}
 }
 
 // captureSnapshot deep-copies into a fresh snapshot (discard-path helper;
 // the checkpoint path goes through takeCheckpoint's recycling).
-func (e *Engine[V, M]) captureSnapshot(step int) *snapshot[V, M] {
-	cp := &snapshot[V, M]{}
+func (e *Engine[V]) captureSnapshot(step int) *snapshot[V] {
+	cp := &snapshot[V]{}
 	e.captureSnapshotInto(cp, step)
 	return cp
 }
@@ -1126,38 +944,24 @@ func (e *Engine[V, M]) captureSnapshot(step int) *snapshot[V, M] {
 // into cp, reusing its slice capacity. Message payloads are deep-copied out
 // of the live arenas: by the time a recovery replays, the arenas backing the
 // current inbox views have been recycled and overwritten.
-func (e *Engine[V, M]) captureSnapshotInto(cp *snapshot[V, M], step int) {
+func (e *Engine[V]) captureSnapshotInto(cp *snapshot[V], step int) {
 	cp.step = step
-	cp.aggPrev = e.aggPrev
 	cp.inTotal = e.inTotal
 	cp.mailTotal = e.mailTotal
 	cp.ioDone = 0
 	cp.values = append(cp.values[:0], e.values...)
 	cp.active = append(cp.active[:0], e.active...)
 	nw := e.cfg.NumWorkers
-	if e.columnar {
-		if cp.colIn == nil {
-			cp.colIn = make([]colSnap, nw)
-			cp.colMail = make([]colSnap, nw)
-		}
-		for r := 0; r < nw; r++ {
-			snapColsInto(&cp.colIn[r], e.colIn[r].off, &e.colIn[r].cols)
-			snapColsInto(&cp.colMail[r], nil, &e.colMail[r])
-		}
-		if e.pipelined {
-			cp.pendIn = append(cp.pendIn[:0], e.pendIn...)
-		}
-	} else {
-		if cp.boxOff == nil {
-			cp.boxOff = make([][]int32, nw)
-			cp.boxMsgs = make([][]M, nw)
-			cp.boxMail = make([][]M, nw)
-		}
-		for r := 0; r < nw; r++ {
-			cp.boxOff[r] = append(cp.boxOff[r][:0], e.boxIn[r].off...)
-			cp.boxMsgs[r] = append(cp.boxMsgs[r][:0], e.boxIn[r].msgs...)
-			cp.boxMail[r] = append(cp.boxMail[r][:0], e.boxMail[r]...)
-		}
+	if cp.colIn == nil {
+		cp.colIn = make([]colSnap, nw)
+		cp.colMail = make([]colSnap, nw)
+	}
+	for r := 0; r < nw; r++ {
+		snapColsInto(&cp.colIn[r], e.colIn[r].off, &e.colIn[r].cols)
+		snapColsInto(&cp.colMail[r], nil, &e.colMail[r])
+	}
+	if e.pipelined {
+		cp.pendIn = append(cp.pendIn[:0], e.pendIn...)
 	}
 	if ps, ok := e.prog.(ProgramStater); ok {
 		cp.progState = ps.SnapshotProgState()
@@ -1167,43 +971,34 @@ func (e *Engine[V, M]) captureSnapshotInto(cp *snapshot[V, M], step int) {
 
 // restoreCheckpoint rolls engine state back to the latest checkpoint,
 // discarding the metrics of the lost supersteps.
-func (e *Engine[V, M]) restoreCheckpoint() {
+func (e *Engine[V]) restoreCheckpoint() {
 	cp := e.checkpoint
 	copy(e.values, cp.values)
 	copy(e.active, cp.active)
-	e.aggPrev = cp.aggPrev
 	e.inTotal = cp.inTotal
 	e.mailTotal = cp.mailTotal
 	nw := e.cfg.NumWorkers
-	if e.columnar {
+	for r := 0; r < nw; r++ {
+		restoreCols(e.colIn[r].off, &e.colIn[r].cols, cp.colIn[r])
+		restoreCols(nil, &e.colMail[r], cp.colMail[r])
+	}
+	// The inbox no longer references the live arenas; recycle them. A crash
+	// mid-superstep (FaultMidPipeline / FaultAtBarrier) also leaves the
+	// current generation filled but never shifted — recycle it too.
+	for s := 0; s < nw; s++ {
 		for r := 0; r < nw; r++ {
-			restoreCols(e.colIn[r].off, &e.colIn[r].cols, cp.colIn[r])
-			restoreCols(nil, &e.colMail[r], cp.colMail[r])
-		}
-		// The inbox no longer references the live arenas; recycle them. A
-		// crash mid-superstep (FaultMidPipeline / FaultAtBarrier) also leaves
-		// the current generation filled but never shifted — recycle it too.
-		for s := 0; s < nw; s++ {
-			for r := 0; r < nw; r++ {
-				if e.colLive[s][r] != nil {
-					e.colFree.put(e.colLive[s][r])
-					e.colLive[s][r] = nil
-				}
-				if e.colCur[s][r] != nil {
-					e.colFree.put(e.colCur[s][r])
-					e.colCur[s][r] = nil
-				}
+			if e.colLive[s][r] != nil {
+				e.colFree.put(e.colLive[s][r])
+				e.colLive[s][r] = nil
+			}
+			if e.colCur[s][r] != nil {
+				e.colFree.put(e.colCur[s][r])
+				e.colCur[s][r] = nil
 			}
 		}
-		if e.pipelined {
-			copy(e.pendIn, cp.pendIn)
-		}
-	} else {
-		for r := 0; r < nw; r++ {
-			copy(e.boxIn[r].off, cp.boxOff[r])
-			e.boxIn[r].msgs = append(e.boxIn[r].msgs[:0], cp.boxMsgs[r]...)
-			e.boxMail[r] = append(e.boxMail[r][:0], cp.boxMail[r]...)
-		}
+	}
+	if e.pipelined {
+		copy(e.pendIn, cp.pendIn)
 	}
 	if cp.hasProg {
 		e.prog.(ProgramStater).RestoreProgState(cp.progState)
@@ -1214,12 +1009,12 @@ func (e *Engine[V, M]) restoreCheckpoint() {
 }
 
 // Recoveries reports how many checkpoint recoveries the run performed.
-func (e *Engine[V, M]) Recoveries() int { return e.recoveries }
+func (e *Engine[V]) Recoveries() int { return e.recoveries }
 
 // forEachWorker runs fn(i) for every worker index, on goroutines when the
 // engine is parallel. Callers guarantee fn(i) only touches state owned by
 // worker i (its metrics entry, its send buffers, its inbox, its vertices).
-func (e *Engine[V, M]) forEachWorker(fn func(i int)) {
+func (e *Engine[V]) forEachWorker(fn func(i int)) {
 	if !e.cfg.Parallel || e.cfg.NumWorkers == 1 {
 		for i := range e.workers {
 			fn(i)
@@ -1242,7 +1037,7 @@ func (e *Engine[V, M]) forEachWorker(fn func(i int)) {
 // checkpoint — everything the step produced (send buffers, assembler state,
 // delivered inboxes, its metrics row) is lost work that restoreCheckpoint
 // discards.
-func (e *Engine[V, M]) runSuperstep(step int) (crashed bool) {
+func (e *Engine[V]) runSuperstep(step int) (crashed bool) {
 	e.supersteps = step + 1
 	e.executed++
 	stepMetrics := e.carveStepMetrics()
@@ -1255,28 +1050,19 @@ func (e *Engine[V, M]) runSuperstep(step int) (crashed bool) {
 	for _, w := range e.workers {
 		w.m = &e.metrics[len(e.metrics)-1][w.id]
 		w.stepCost = 0
-		w.aggLocal = nil
 		w.stamp++
-		if e.columnar {
-			for r := 0; r < nw; r++ {
-				b := e.colFree.get(e.colLive[w.id][r])
-				if e.colLive[w.id][r] == nil && e.cfg.Columnar.ReserveMsgs > 0 {
-					// Cold buffer (first two generations): apply the
-					// program's volume hint instead of growing by doubling.
-					b.reserve(e.cfg.Columnar.ReserveMsgs, e.cfg.Columnar.ReserveFloats)
-				}
-				e.colCur[w.id][r] = b
+		for r := 0; r < nw; r++ {
+			b := e.colFree.get(e.colLive[w.id][r])
+			if e.colLive[w.id][r] == nil && e.cfg.Columnar.ReserveMsgs > 0 {
+				// Cold buffer (first two generations): apply the program's
+				// volume hint instead of growing by doubling.
+				b.reserve(e.cfg.Columnar.ReserveMsgs, e.cfg.Columnar.ReserveFloats)
 			}
-			if e.pipelined {
-				for r := range w.sealedRows {
-					w.sealedRows[r] = 0
-				}
-			}
-		} else {
-			for r := range w.out {
-				w.out[r].dsts = w.out[r].dsts[:0]
-				w.out[r].srcs = w.out[r].srcs[:0]
-				w.out[r].msgs = w.out[r].msgs[:0]
+			e.colCur[w.id][r] = b
+		}
+		if e.pipelined {
+			for r := range w.sealedRows {
+				w.sealedRows[r] = 0
 			}
 		}
 	}
@@ -1312,64 +1098,36 @@ func (e *Engine[V, M]) runSuperstep(step int) (crashed bool) {
 		e.finishAssembly()
 		e.forEachWorker(func(i int) { e.deliverPipelined(i) })
 		e.foldAssemblyMetrics()
-	} else if e.columnar {
-		e.forEachWorker(func(i int) { e.accountSent(i) })
-		e.forEachWorker(func(i int) { e.deliverColumnar(i) })
 	} else {
 		e.forEachWorker(func(i int) { e.accountSent(i) })
-		e.forEachWorker(func(i int) { e.deliverBoxed(i) })
+		e.forEachWorker(func(i int) { e.deliverColumnar(i) })
 	}
 
 	// Fault point: delivery/merge done, superstep not yet committed (totals,
-	// aggregators, generation shift) — the freshly merged inboxes are lost.
+	// generation shift) — the freshly merged inboxes are lost.
 	if e.faultAt(step, FaultAtBarrier) {
 		return true
 	}
 
 	inTotal, mailTotal := 0, 0
-	if e.columnar {
-		for r := 0; r < nw; r++ {
-			inTotal += len(e.colIn[r].cols.kinds)
-			mailTotal += len(e.colMail[r].kinds)
-		}
-	} else {
-		for r := 0; r < nw; r++ {
-			inTotal += len(e.boxIn[r].msgs)
-			mailTotal += len(e.boxMail[r])
-		}
+	for r := 0; r < nw; r++ {
+		inTotal += len(e.colIn[r].cols.kinds)
+		mailTotal += len(e.colMail[r].kinds)
 	}
 	e.inTotal, e.mailTotal = inTotal, mailTotal
-
-	// Merge aggregators serially in worker-id order (last writer wins, as
-	// in the seed engine). The map is only allocated when some worker
-	// published this superstep — aggregator-free programs (the GNN driver)
-	// skip the per-superstep allocation, and reads on a nil map miss as
-	// before.
-	var agg map[string][]float32
-	for _, w := range e.workers {
-		for k, v := range w.aggLocal {
-			if agg == nil {
-				agg = map[string][]float32{}
-			}
-			agg[k] = v
-		}
-	}
-	e.aggPrev = agg
 
 	// Shift send-buffer generations: the buffers consumed by this
 	// superstep's compute recycle; the ones just filled back the new inbox
 	// views and stay live for one more superstep. Sealed extents are row
 	// ranges of these same buffers, so the pipelined plane shares the shift
 	// unchanged.
-	if e.columnar {
-		for s := 0; s < nw; s++ {
-			for r := 0; r < nw; r++ {
-				if e.colLive[s][r] != nil {
-					e.colFree.put(e.colLive[s][r])
-				}
-				e.colLive[s][r] = e.colCur[s][r]
-				e.colCur[s][r] = nil
+	for s := 0; s < nw; s++ {
+		for r := 0; r < nw; r++ {
+			if e.colLive[s][r] != nil {
+				e.colFree.put(e.colLive[s][r])
 			}
+			e.colLive[s][r] = e.colCur[s][r]
+			e.colCur[s][r] = nil
 		}
 	}
 	return false
@@ -1378,7 +1136,7 @@ func (e *Engine[V, M]) runSuperstep(step int) (crashed bool) {
 // carveStepMetrics returns this superstep's NumWorkers-wide metrics window,
 // carved from the slab (growing it by doubling when exhausted) instead of
 // allocating one slice per superstep.
-func (e *Engine[V, M]) carveStepMetrics() []StepMetrics {
+func (e *Engine[V]) carveStepMetrics() []StepMetrics {
 	nw := e.cfg.NumWorkers
 	if cap(e.metricsSlab)-len(e.metricsSlab) < nw {
 		grow := 8 * nw
@@ -1394,43 +1152,35 @@ func (e *Engine[V, M]) carveStepMetrics() []StepMetrics {
 	return e.metricsSlab[lo : lo+nw : lo+nw]
 }
 
-// computeWorker runs one worker's compute phase for a superstep.
-func (e *Engine[V, M]) computeWorker(w *worker[V, M], step int) {
+// computeWorker runs one worker's compute phase for a superstep. The engine
+// keeps the per-vertex activity and IO accounting on both compute planes;
+// the batched plane then hands the whole partition to ComputeBatch in one
+// call. On the pipelined plane the per-message receive totals were already
+// summed by last superstep's assembly (pendIn), so only the per-vertex
+// activity scan remains.
+func (e *Engine[V]) computeWorker(w *worker[V], step int) {
 	m := w.m
-	if e.batch != nil {
-		// Batched plane: the engine keeps the per-vertex activity and IO
-		// accounting (identical to the columnar per-vertex loop below), then
-		// hands the whole partition to ComputeBatch in one call. On the
-		// pipelined plane the per-message receive totals were already summed
-		// by last superstep's assembly (pendIn), so only the per-vertex
-		// activity scan remains.
-		if e.pipelined {
-			m.MessagesReceived += e.pendIn[w.id].msgs
-			m.BytesReceived += e.pendIn[w.id].bytes
-		} else {
-			mail := &e.colMail[w.id]
-			for i := range mail.kinds {
-				m.MessagesReceived++
-				m.BytesReceived += int64(e.colBytes(mail.kinds[i], len(mail.pays[i])))
-			}
+	if e.pipelined {
+		m.MessagesReceived += e.pendIn[w.id].msgs
+		m.BytesReceived += e.pendIn[w.id].bytes
+	} else {
+		mail := &e.colMail[w.id]
+		for i := range mail.kinds {
+			m.MessagesReceived++
+			m.BytesReceived += int64(e.colBytes(mail.kinds[i], len(mail.pays[i])))
 		}
-		in := &e.colIn[w.id]
+	}
+	in := &e.colIn[w.id]
+	if e.batch != nil {
 		for li, v := range w.verts {
 			lo, hi := in.off[li], in.off[li+1]
 			w.computed[li] = e.active[v] || lo != hi
 			w.halted[li] = false
-			if !w.computed[li] {
-				continue
-			}
-			m.ActiveVertices++
-			if !e.pipelined {
-				m.MessagesReceived += int64(hi - lo)
-				for i := lo; i < hi; i++ {
-					m.BytesReceived += int64(e.colBytes(in.cols.kinds[i], len(in.cols.pays[i])))
-				}
+			if w.computed[li] {
+				e.accountComputed(m, in, lo, hi)
 			}
 		}
-		e.batch.ComputeBatch(&BatchContext[V, M]{worker: w, Superstep: step})
+		e.batch.ComputeBatch(&BatchContext[V]{worker: w, Superstep: step})
 		w.sealTail()
 		for li, v := range w.verts {
 			if w.computed[li] {
@@ -1440,102 +1190,57 @@ func (e *Engine[V, M]) computeWorker(w *worker[V, M], step int) {
 		m.ComputeCost = w.stepCost
 		return
 	}
-	if e.columnar {
-		if e.pipelined {
-			m.MessagesReceived += e.pendIn[w.id].msgs
-			m.BytesReceived += e.pendIn[w.id].bytes
-		} else {
-			mail := &e.colMail[w.id]
-			for i := range mail.kinds {
-				m.MessagesReceived++
-				m.BytesReceived += int64(e.colBytes(mail.kinds[i], len(mail.pays[i])))
-			}
+	ctx := &Context[V]{worker: w, Superstep: step}
+	for li, v := range w.verts {
+		if e.pipelined && li > 0 && li%e.chunkSize == 0 {
+			// Chunk boundary: seal and flush what the previous chunk sent.
+			// The cadence runs over owned indices (not computed vertices),
+			// so it is deterministic under any halt pattern.
+			w.sealChunk()
 		}
-		in := &e.colIn[w.id]
-		ctx := &Context[V, M]{worker: w, Superstep: step}
-		for li, v := range w.verts {
-			if e.pipelined && li > 0 && li%e.chunkSize == 0 {
-				// Chunk boundary: seal and flush what the previous chunk
-				// sent. The cadence runs over owned indices (not computed
-				// vertices), so it is deterministic under any halt pattern.
-				w.sealChunk()
-			}
-			lo, hi := in.off[li], in.off[li+1]
-			if !e.active[v] && lo == hi {
-				continue
-			}
-			m.ActiveVertices++
-			if !e.pipelined {
-				m.MessagesReceived += int64(hi - lo)
-				for i := lo; i < hi; i++ {
-					m.BytesReceived += int64(e.colBytes(in.cols.kinds[i], len(in.cols.pays[i])))
-				}
-			}
-			ctx.ID, ctx.Value, ctx.inLo, ctx.inHi, ctx.halted = v, &e.values[v], lo, hi, false
-			e.prog.Compute(ctx, nil)
-			e.active[v] = !ctx.halted
+		lo, hi := in.off[li], in.off[li+1]
+		if !e.active[v] && lo == hi {
+			continue
 		}
-		w.sealTail()
-	} else {
-		for _, ms := range e.boxMail[w.id] {
-			m.MessagesReceived++
-			m.BytesReceived += int64(e.cfg.MessageBytes(ms))
-		}
-		in := &e.boxIn[w.id]
-		ctx := &Context[V, M]{worker: w, Superstep: step}
-		for li, v := range w.verts {
-			msgs := in.msgs[in.off[li]:in.off[li+1]]
-			if !e.active[v] && len(msgs) == 0 {
-				continue
-			}
-			m.ActiveVertices++
-			m.MessagesReceived += int64(len(msgs))
-			for _, one := range msgs {
-				m.BytesReceived += int64(e.cfg.MessageBytes(one))
-			}
-			ctx.ID, ctx.Value, ctx.halted = v, &e.values[v], false
-			e.prog.Compute(ctx, msgs)
-			e.active[v] = !ctx.halted
-		}
+		e.accountComputed(m, in, lo, hi)
+		ctx.ID, ctx.Value, ctx.inLo, ctx.inHi, ctx.halted = v, &e.values[v], lo, hi, false
+		e.prog.Compute(ctx)
+		e.active[v] = !ctx.halted
 	}
+	w.sealTail()
 	m.ComputeCost = w.stepCost
 }
 
+// accountComputed charges one computing vertex and, off the pipelined
+// plane, the messages of its inbox range [lo, hi).
+func (e *Engine[V]) accountComputed(m *StepMetrics, in *colInbox, lo, hi int32) {
+	m.ActiveVertices++
+	if e.pipelined {
+		return
+	}
+	m.MessagesReceived += int64(hi - lo)
+	for i := lo; i < hi; i++ {
+		m.BytesReceived += int64(e.colBytes(in.cols.kinds[i], len(in.cols.pays[i])))
+	}
+}
+
 // accountSent charges sender s for every message (and its wire bytes) it
-// buffered this superstep. Bytes are measured on the post-combine buffers —
-// from the arena extents on the columnar plane. Traffic addressed to other
-// workers is additionally recorded as remote: the share a locality-aware
-// partitioner can reduce.
-func (e *Engine[V, M]) accountSent(s int) {
-	w := e.workers[s]
-	m := w.m
-	if e.columnar {
-		for r := 0; r < e.cfg.NumWorkers; r++ {
-			b := e.colCur[s][r]
-			m.MessagesSent += int64(len(b.dsts))
-			var bytes int64
-			for i := range b.dsts {
-				bytes += int64(e.colBytes(b.kinds[i], int(b.lens[i])))
-			}
-			m.BytesSent += bytes
-			if r != s {
-				m.RemoteMessagesSent += int64(len(b.dsts))
-				m.RemoteBytesSent += bytes
-			}
+// buffered this superstep. Bytes are measured on the arena extents of the
+// post-combine buffers. Traffic addressed to other workers is additionally
+// recorded as remote: the share a locality-aware partitioner can reduce.
+func (e *Engine[V]) accountSent(s int) {
+	m := e.workers[s].m
+	for r := 0; r < e.cfg.NumWorkers; r++ {
+		b := e.colCur[s][r]
+		m.MessagesSent += int64(len(b.dsts))
+		var bytes int64
+		for i := range b.dsts {
+			bytes += int64(e.colBytes(b.kinds[i], int(b.lens[i])))
 		}
-	} else {
-		for r := range w.out {
-			p := &w.out[r]
-			m.MessagesSent += int64(len(p.dsts))
-			var bytes int64
-			for i := range p.msgs {
-				bytes += int64(e.cfg.MessageBytes(p.msgs[i]))
-			}
-			m.BytesSent += bytes
-			if r != s {
-				m.RemoteMessagesSent += int64(len(p.dsts))
-				m.RemoteBytesSent += bytes
-			}
+		m.BytesSent += bytes
+		if r != s {
+			m.RemoteMessagesSent += int64(len(b.dsts))
+			m.RemoteBytesSent += bytes
 		}
 	}
 }
@@ -1547,7 +1252,7 @@ func (e *Engine[V, M]) accountSent(s int) {
 // merge, so every destination's inbox order is independent of vertex
 // placement and worker count. Payloads are not copied: inbox entries are
 // views into the sender arenas, which stay live until the next barrier.
-func (e *Engine[V, M]) deliverColumnar(r int) {
+func (e *Engine[V]) deliverColumnar(r int) {
 	in := &e.colIn[r]
 	off := in.off
 	for i := range off {
@@ -1637,7 +1342,7 @@ func (e *Engine[V, M]) deliverColumnar(r int) {
 // scatterColRow delivers one columnar row into its receiver's CSR slot —
 // the single scatter implementation both the BSP and pipelined barriers
 // use, so reactivation semantics and slot layout cannot drift apart.
-func (e *Engine[V, M]) scatterColRow(in *colInbox, b *colBuf, i int, dst int32) {
+func (e *Engine[V]) scatterColRow(in *colInbox, b *colBuf, i int, dst int32) {
 	li := e.localIdx[dst]
 	slot := in.next[li]
 	in.next[li]++
@@ -1649,7 +1354,7 @@ func (e *Engine[V, M]) scatterColRow(in *colInbox, b *colBuf, i int, dst int32) 
 // fillColMail rebuilds receiver r's worker mailbox from the current send
 // buffers in sender-major, buffer order — shared by both barriers
 // (mailboxes are per-worker state, so this order is the contract).
-func (e *Engine[V, M]) fillColMail(r, mailN int) {
+func (e *Engine[V]) fillColMail(r, mailN int) {
 	mail := &e.colMail[r]
 	mail.resize(mailN)
 	if mailN == 0 {
@@ -1674,8 +1379,7 @@ const mergeDone = int32(math.MaxInt32)
 // mergeBest scans the cached head sources and returns the winning buffer
 // (lowest head, ties to the lowest index) and the runner-up head value —
 // the run bound the winner may drain up to. best is -1 when every buffer
-// is exhausted. Shared by both planes' delivery loops so the subtle part
-// of the merge has exactly one implementation.
+// is exhausted.
 func mergeBest(heads []int32) (best int, second int32) {
 	best = -1
 	bestSrc := mergeDone
@@ -1698,122 +1402,20 @@ func skipMail(dsts []int32, i int) int {
 	return i
 }
 
-// deliverBoxed is deliverColumnar for the boxed plane: same counting sort
-// and source-order merge, message values copied into the receiver's flat
-// inbox.
-func (e *Engine[V, M]) deliverBoxed(r int) {
-	in := &e.boxIn[r]
-	off := in.off
-	for i := range off {
-		off[i] = 0
-	}
-	mailN := 0
-	nw := e.cfg.NumWorkers
-	for s := 0; s < nw; s++ {
-		for _, dst := range e.workers[s].out[r].dsts {
-			if dst < 0 {
-				mailN++
-			} else {
-				off[e.localIdx[dst]+1]++
-			}
-		}
-	}
-	for i := 1; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	total := int(off[len(off)-1])
-	if cap(in.msgs) < total {
-		in.msgs = make([]M, total)
-	} else {
-		in.msgs = in.msgs[:total]
-	}
-	copy(in.next, off[:len(in.next)])
-	mail := e.boxMail[r][:0]
-	if cap(mail) < mailN {
-		mail = make([]M, 0, mailN)
-	}
-	if mailN > 0 {
-		for s := 0; s < nw; s++ {
-			p := &e.workers[s].out[r]
-			for i, dst := range p.dsts {
-				if dst < 0 {
-					mail = append(mail, p.msgs[i])
-				}
-			}
-		}
-	}
-	cur, heads := e.mergeCur[r], e.mergeHeads[r]
-	live := 0
-	for s := 0; s < nw; s++ {
-		p := &e.workers[s].out[r]
-		cur[s] = skipMail(p.dsts, 0)
-		if cur[s] < len(p.dsts) {
-			heads[s] = p.srcs[cur[s]]
-			live++
-		} else {
-			heads[s] = mergeDone
-		}
-	}
-	deliverRow := func(p *pending[M], i int, dst int32) {
-		li := e.localIdx[dst]
-		slot := in.next[li]
-		in.next[li]++
-		in.msgs[slot] = p.msgs[i]
-		// A message reactivates its destination.
-		e.active[dst] = true
-	}
-	if live == 1 {
-		for s := 0; s < nw; s++ {
-			p := &e.workers[s].out[r]
-			for i := cur[s]; i < len(p.dsts); i++ {
-				if dst := p.dsts[i]; dst >= 0 {
-					deliverRow(p, i, dst)
-				}
-			}
-		}
-		e.boxMail[r] = mail
-		return
-	}
-	for {
-		best, second := mergeBest(heads)
-		if best == -1 {
-			break
-		}
-		p := &e.workers[best].out[r]
-		i := cur[best]
-		for i < len(p.dsts) {
-			if dst := p.dsts[i]; dst >= 0 {
-				if p.srcs[i] > second {
-					break
-				}
-				deliverRow(p, i, dst)
-			}
-			i++
-		}
-		cur[best] = i
-		if i < len(p.dsts) {
-			heads[best] = p.srcs[i]
-		} else {
-			heads[best] = mergeDone
-		}
-	}
-	e.boxMail[r] = mail
-}
-
 // VertexValue returns a pointer to v's value after Run.
-func (e *Engine[V, M]) VertexValue(v int32) *V { return &e.values[v] }
+func (e *Engine[V]) VertexValue(v int32) *V { return &e.values[v] }
 
 // Values returns the full value slice (indexed by vertex id).
-func (e *Engine[V, M]) Values() []V { return e.values }
+func (e *Engine[V]) Values() []V { return e.values }
 
 // Supersteps reports how many supersteps executed.
-func (e *Engine[V, M]) Supersteps() int { return e.supersteps }
+func (e *Engine[V]) Supersteps() int { return e.supersteps }
 
 // Metrics returns per-superstep, per-worker metrics.
-func (e *Engine[V, M]) Metrics() [][]StepMetrics { return e.metrics }
+func (e *Engine[V]) Metrics() [][]StepMetrics { return e.metrics }
 
 // TotalMetrics sums the per-step metrics into one record per worker.
-func (e *Engine[V, M]) TotalMetrics() []StepMetrics {
+func (e *Engine[V]) TotalMetrics() []StepMetrics {
 	out := make([]StepMetrics, e.cfg.NumWorkers)
 	for w := range out {
 		out[w].Worker = w

@@ -30,9 +30,9 @@ func randomTopology(t *testing.T, n, e int, seed int64) Topology {
 
 func TestPageRankMatchesReference(t *testing.T) {
 	topo := randomTopology(t, 100, 500, 1)
-	prog := &PageRankProgram{NumVertices: 100, Iterations: 20}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{
-		NumWorkers: 4, MaxSupersteps: 25, Combiner: PageRankCombiner,
+	prog := &pageRankProg{numVertices: 100, iterations: 20}
+	eng := NewEngine[float64](topo, prog, Config{
+		NumWorkers: 4, MaxSupersteps: 25, Columnar: &ColumnarOps{Combine: pageRankCombiner},
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -47,8 +47,8 @@ func TestPageRankMatchesReference(t *testing.T) {
 
 func TestPageRankRanksSum(t *testing.T) {
 	topo := ringTopology(t, 50)
-	prog := &PageRankProgram{NumVertices: 50, Iterations: 10}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{NumWorkers: 3})
+	prog := &pageRankProg{numVertices: 50, iterations: 10}
+	eng := NewEngine[float64](topo, prog, Config{NumWorkers: 3})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +65,8 @@ func TestPageRankRanksSum(t *testing.T) {
 func TestPageRankIndependentOfWorkerCount(t *testing.T) {
 	topo := randomTopology(t, 80, 400, 2)
 	run := func(workers int) []float64 {
-		prog := &PageRankProgram{NumVertices: 80, Iterations: 15}
-		eng := NewEngine[float64, float64](topo, prog, Config[float64]{NumWorkers: workers})
+		prog := &pageRankProg{numVertices: 80, iterations: 15}
+		eng := NewEngine[float64](topo, prog, Config{NumWorkers: workers})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -84,9 +84,9 @@ func TestPageRankIndependentOfWorkerCount(t *testing.T) {
 
 func TestSSSPMatchesBFS(t *testing.T) {
 	topo := randomTopology(t, 120, 400, 3)
-	prog := &SSSPProgram{Source: 0}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{
-		NumWorkers: 5, MaxSupersteps: 200, Combiner: SSSPCombiner,
+	prog := &ssspProg{source: 0}
+	eng := NewEngine[float64](topo, prog, Config{
+		NumWorkers: 5, MaxSupersteps: 200, Columnar: &ColumnarOps{Combine: ssspCombiner},
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -101,8 +101,8 @@ func TestSSSPMatchesBFS(t *testing.T) {
 
 func TestSSSPHaltsBeforeMaxSupersteps(t *testing.T) {
 	topo := ringTopology(t, 10)
-	prog := &SSSPProgram{Source: 0}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{NumWorkers: 2, MaxSupersteps: 100})
+	prog := &ssspProg{source: 0}
+	eng := NewEngine[float64](topo, prog, Config{NumWorkers: 2, MaxSupersteps: 100})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +122,12 @@ func TestCombinerReducesTraffic(t *testing.T) {
 	topo := GraphTopology{G: b.Build()}
 
 	run := func(combine bool) (sent int64, combined int64) {
-		prog := &PageRankProgram{NumVertices: 101, Iterations: 2}
-		cfg := Config[float64]{NumWorkers: 4}
+		prog := &pageRankProg{numVertices: 101, iterations: 2}
+		cfg := Config{NumWorkers: 4}
 		if combine {
-			cfg.Combiner = PageRankCombiner
+			cfg.Columnar = &ColumnarOps{Combine: pageRankCombiner}
 		}
-		eng := NewEngine[float64, float64](topo, prog, cfg)
+		eng := NewEngine[float64](topo, prog, cfg)
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -149,8 +149,8 @@ func TestCombinerReducesTraffic(t *testing.T) {
 
 func TestMetricsBalance(t *testing.T) {
 	topo := randomTopology(t, 60, 300, 4)
-	prog := &PageRankProgram{NumVertices: 60, Iterations: 5}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{NumWorkers: 3})
+	prog := &pageRankProg{numVertices: 60, iterations: 5}
+	eng := NewEngine[float64](topo, prog, Config{NumWorkers: 3})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +167,9 @@ func TestMetricsBalance(t *testing.T) {
 func TestParallelMatchesSequential(t *testing.T) {
 	topo := randomTopology(t, 100, 600, 5)
 	run := func(parallel bool) []float64 {
-		prog := &PageRankProgram{NumVertices: 100, Iterations: 10}
-		eng := NewEngine[float64, float64](topo, prog, Config[float64]{
-			NumWorkers: 8, Parallel: parallel, Combiner: PageRankCombiner,
+		prog := &pageRankProg{numVertices: 100, iterations: 10}
+		eng := NewEngine[float64](topo, prog, Config{
+			NumWorkers: 8, Parallel: parallel, Columnar: &ColumnarOps{Combine: pageRankCombiner},
 		})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -186,71 +186,24 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// echoProgram exercises aggregators and worker mailboxes: superstep 0
-// publishes vertex 0's id via the aggregator and a worker message; superstep
-// 1 reads them.
-type echoProgram struct {
-	sawAggregator bool
-	sawWorkerMail bool
-}
-
-func (p *echoProgram) Compute(ctx *Context[int, int], msgs []int) {
-	switch ctx.Superstep {
-	case 0:
-		if ctx.ID == 0 {
-			ctx.AggregatorPut("hello", []float32{42})
-			for w := 0; w < ctx.NumWorkers(); w++ {
-				ctx.SendToWorker(w, 7)
-			}
-		}
-		// Stay active for one more superstep.
-	case 1:
-		if v, ok := ctx.AggregatorGet("hello"); ok && v[0] == 42 {
-			p.sawAggregator = true
-		}
-		ctx.VoteToHalt()
-	default:
-		ctx.VoteToHalt()
-	}
-}
-
-func TestAggregatorVisibleNextSuperstep(t *testing.T) {
-	topo := ringTopology(t, 6)
-	prog := &echoProgram{}
-	eng := NewEngine[int, int](topo, prog, Config[int]{NumWorkers: 3, MaxSupersteps: 4})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !prog.sawAggregator {
-		t.Fatal("aggregator value not visible in the following superstep")
-	}
-	// Worker mailboxes were delivered and accounted.
-	var received int64
-	for _, m := range eng.TotalMetrics() {
-		received += m.MessagesReceived
-	}
-	if received < 3 {
-		t.Fatalf("worker mail not delivered: received=%d", received)
-	}
-}
-
+// TestMessageBytesAccounting: without a Bytes function every message is
+// priced at the default 4*payloadLen+16 — 24 bytes for PageRank's two-word
+// payload — on both the send and the receive side.
 func TestMessageBytesAccounting(t *testing.T) {
 	topo := ringTopology(t, 4)
-	prog := &PageRankProgram{NumVertices: 4, Iterations: 1}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{
-		NumWorkers:   2,
-		MessageBytes: func(float64) int { return 8 },
-	})
+	prog := &pageRankProg{numVertices: 4, iterations: 1}
+	eng := NewEngine[float64](topo, prog, Config{NumWorkers: 2})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	var sentMsgs, sentBytes int64
+	var sentMsgs, sentBytes, recvBytes int64
 	for _, m := range eng.TotalMetrics() {
 		sentMsgs += m.MessagesSent
 		sentBytes += m.BytesSent
+		recvBytes += m.BytesReceived
 	}
-	if sentBytes != sentMsgs*8 {
-		t.Fatalf("bytes = %d for %d msgs", sentBytes, sentMsgs)
+	if sentMsgs != 4 || sentBytes != sentMsgs*24 || recvBytes != sentBytes {
+		t.Fatalf("sent %d msgs, %d bytes, received %d bytes; want 4, 96, 96", sentMsgs, sentBytes, recvBytes)
 	}
 }
 
@@ -260,7 +213,7 @@ func TestEngineRejectsBadWorkerCount(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewEngine[int, int](ringTopology(t, 3), &echoProgram{}, Config[int]{NumWorkers: 0})
+	NewEngine[int](ringTopology(t, 3), &hopProg{}, Config{NumWorkers: 0})
 }
 
 func TestEngineOnPowerLawGraph(t *testing.T) {
@@ -268,8 +221,8 @@ func TestEngineOnPowerLawGraph(t *testing.T) {
 	// on the hub's worker.
 	ds := datagen.PowerLaw(500, datagen.SkewOut, 6)
 	topo := GraphTopology{G: ds.Graph}
-	prog := &PageRankProgram{NumVertices: ds.Graph.NumNodes, Iterations: 3}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{NumWorkers: 10})
+	prog := &pageRankProg{numVertices: ds.Graph.NumNodes, iterations: 3}
+	eng := NewEngine[float64](topo, prog, Config{NumWorkers: 10})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -8,15 +8,20 @@ import (
 // Fault tolerance: a failure mid-run plus checkpoint recovery must produce
 // exactly the results of a failure-free run.
 
+// crashBefore plans one crash before the given superstep's compute.
+func crashBefore(step int) *FaultPlan {
+	return &FaultPlan{Crashes: []Fault{{Superstep: step, Point: FaultBeforeSuperstep}}}
+}
+
 func TestRecoveryReproducesPageRank(t *testing.T) {
 	topo := randomTopology(t, 80, 400, 9)
-	run := func(failAt, checkpointEvery int) ([]float64, int) {
-		prog := &PageRankProgram{NumVertices: 80, Iterations: 12}
-		eng := NewEngine[float64, float64](topo, prog, Config[float64]{
+	run := func(faults *FaultPlan) ([]float64, int) {
+		prog := &pageRankProg{numVertices: 80, iterations: 12}
+		eng := NewEngine[float64](topo, prog, Config{
 			NumWorkers:      4,
-			Combiner:        PageRankCombiner,
-			CheckpointEvery: checkpointEvery,
-			FailAtSuperstep: failAt,
+			Columnar:        &ColumnarOps{Combine: pageRankCombiner},
+			CheckpointEvery: 3,
+			Faults:          faults,
 		})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -25,11 +30,11 @@ func TestRecoveryReproducesPageRank(t *testing.T) {
 		copy(out, eng.Values())
 		return out, eng.Recoveries()
 	}
-	clean, rec0 := run(0, 3)
+	clean, rec0 := run(nil)
 	if rec0 != 0 {
 		t.Fatal("clean run must not recover")
 	}
-	failed, rec1 := run(7, 3)
+	failed, rec1 := run(crashBefore(7))
 	if rec1 != 1 {
 		t.Fatalf("recoveries = %d, want 1", rec1)
 	}
@@ -42,11 +47,11 @@ func TestRecoveryReproducesPageRank(t *testing.T) {
 
 func TestRecoveryAtCheckpointBoundary(t *testing.T) {
 	topo := ringTopology(t, 20)
-	prog := &PageRankProgram{NumVertices: 20, Iterations: 8}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{
+	prog := &pageRankProg{numVertices: 20, iterations: 8}
+	eng := NewEngine[float64](topo, prog, Config{
 		NumWorkers:      3,
 		CheckpointEvery: 4,
-		FailAtSuperstep: 4, // fails exactly on the checkpointed superstep
+		Faults:          crashBefore(4), // fails exactly on the checkpointed superstep
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -65,10 +70,10 @@ func TestRecoveryAtCheckpointBoundary(t *testing.T) {
 
 func TestFailureWithoutCheckpointErrors(t *testing.T) {
 	topo := ringTopology(t, 10)
-	prog := &PageRankProgram{NumVertices: 10, Iterations: 5}
-	eng := NewEngine[float64, float64](topo, prog, Config[float64]{
-		NumWorkers:      2,
-		FailAtSuperstep: 2, // no CheckpointEvery configured
+	prog := &pageRankProg{numVertices: 10, iterations: 5}
+	eng := NewEngine[float64](topo, prog, Config{
+		NumWorkers: 2,
+		Faults:     crashBefore(2), // no CheckpointEvery configured
 	})
 	if err := eng.Run(); err == nil {
 		t.Fatal("failure without checkpoints must surface an error")
@@ -77,10 +82,10 @@ func TestFailureWithoutCheckpointErrors(t *testing.T) {
 
 func TestRecoveryMetricsDiscardLostWork(t *testing.T) {
 	topo := randomTopology(t, 40, 150, 10)
-	run := func(failAt int) int64 {
-		prog := &PageRankProgram{NumVertices: 40, Iterations: 6}
-		eng := NewEngine[float64, float64](topo, prog, Config[float64]{
-			NumWorkers: 3, CheckpointEvery: 2, FailAtSuperstep: failAt,
+	run := func(faults *FaultPlan) int64 {
+		prog := &pageRankProg{numVertices: 40, iterations: 6}
+		eng := NewEngine[float64](topo, prog, Config{
+			NumWorkers: 3, CheckpointEvery: 2, Faults: faults,
 		})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -91,8 +96,8 @@ func TestRecoveryMetricsDiscardLostWork(t *testing.T) {
 		}
 		return sent
 	}
-	clean := run(0)
-	recovered := run(5)
+	clean := run(nil)
+	recovered := run(crashBefore(5))
 	// Lost supersteps are rolled back and replayed; totals must match the
 	// clean run (recovery re-executes, it does not double-count).
 	if clean != recovered {
@@ -105,7 +110,7 @@ func TestGNNStyleValueSurvivesSnapshot(t *testing.T) {
 	// round-trip snapshots: exercise with a slice-valued program.
 	type vec struct{ h []float64 }
 	topo := ringTopology(t, 6)
-	prog := progFunc[vec, int](func(ctx *Context[vec, int], msgs []int) {
+	prog := progFunc[vec](func(ctx *Context[vec]) {
 		if ctx.Superstep >= 3 {
 			ctx.VoteToHalt()
 			return
@@ -113,11 +118,11 @@ func TestGNNStyleValueSurvivesSnapshot(t *testing.T) {
 		ctx.Value.h = append([]float64(nil), float64(ctx.Superstep))
 		dsts, _ := ctx.OutEdges()
 		for _, d := range dsts {
-			ctx.SendMessage(d, ctx.Superstep)
+			ctx.SendColumnar(d, 0, ctx.ID, 1, []float32{float32(ctx.Superstep)})
 		}
 	})
-	eng := NewEngine[vec, int](topo, prog, Config[int]{
-		NumWorkers: 2, CheckpointEvery: 1, FailAtSuperstep: 2, MaxSupersteps: 10,
+	eng := NewEngine[vec](topo, prog, Config{
+		NumWorkers: 2, CheckpointEvery: 1, Faults: crashBefore(2), MaxSupersteps: 10,
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -130,9 +135,9 @@ func TestGNNStyleValueSurvivesSnapshot(t *testing.T) {
 }
 
 // progFunc adapts a function to VertexProgram.
-type progFunc[V, M any] func(ctx *Context[V, M], msgs []M)
+type progFunc[V any] func(ctx *Context[V])
 
-func (f progFunc[V, M]) Compute(ctx *Context[V, M], msgs []M) { f(ctx, msgs) }
+func (f progFunc[V]) Compute(ctx *Context[V]) { f(ctx) }
 
 // scratchSumProg is colSumProg sending every payload from one per-worker
 // scratch buffer it mutates between (and after) sends: sound only because
@@ -147,7 +152,7 @@ func newScratchSumProg(rounds, workers int) *scratchSumProg {
 	return &scratchSumProg{rounds: rounds, scratch: make([][3]float32, workers)}
 }
 
-func (p *scratchSumProg) Compute(ctx *Context[float32, [3]float32], _ [][3]float32) {
+func (p *scratchSumProg) Compute(ctx *Context[float32]) {
 	if ctx.Superstep == 0 {
 		*ctx.Value = float32(int(ctx.ID)%5 + 1)
 	} else {
@@ -178,13 +183,13 @@ func (p *scratchSumProg) Compute(ctx *Context[float32, [3]float32], _ [][3]float
 // recycled arenas hold by the time the failure hits.
 func TestColumnarRecoveryByteIdentical(t *testing.T) {
 	topo := randomTopology(t, 70, 300, 21)
-	run := func(failAt int) ([]float32, int) {
-		eng := NewEngine[float32, [3]float32](topo, newScratchSumProg(6, 4), Config[[3]float32]{
+	run := func(faults *FaultPlan) ([]float32, int) {
+		eng := NewEngine[float32](topo, newScratchSumProg(6, 4), Config{
 			NumWorkers:      4,
 			Parallel:        true,
 			MaxSupersteps:   10,
 			CheckpointEvery: 2,
-			FailAtSuperstep: failAt,
+			Faults:          faults,
 			Columnar:        &ColumnarOps{Combine: colSumCombiner},
 		})
 		if err := eng.Run(); err != nil {
@@ -192,11 +197,11 @@ func TestColumnarRecoveryByteIdentical(t *testing.T) {
 		}
 		return append([]float32(nil), eng.Values()...), eng.Recoveries()
 	}
-	clean, rec0 := run(0)
+	clean, rec0 := run(nil)
 	if rec0 != 0 {
 		t.Fatal("clean run must not recover")
 	}
-	failed, rec1 := run(5) // fails one superstep past the step-4 checkpoint
+	failed, rec1 := run(crashBefore(5)) // fails one superstep past the step-4 checkpoint
 	if rec1 != 1 {
 		t.Fatalf("recoveries = %d, want 1", rec1)
 	}
@@ -207,7 +212,7 @@ func TestColumnarRecoveryByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPipelinedRecoveryByteIdentical: FailAtSuperstep mid-pipeline must
+// TestPipelinedRecoveryByteIdentical: a crash partway through a run must
 // replay byte-identically on the pipelined plane. Checkpoints are taken
 // between supersteps, when every sealed extent has been drained into the
 // inbox the snapshot deep-copies — so in-flight extents are excluded from
@@ -216,13 +221,13 @@ func TestColumnarRecoveryByteIdentical(t *testing.T) {
 // same per-superstep metrics.
 func TestPipelinedRecoveryByteIdentical(t *testing.T) {
 	topo := randomTopology(t, 70, 300, 21)
-	run := func(failAt int) ([]float32, int) {
-		eng := NewEngine[float32, [3]float32](topo, newScratchSumProg(6, 4), Config[[3]float32]{
+	run := func(faults *FaultPlan) ([]float32, int) {
+		eng := NewEngine[float32](topo, newScratchSumProg(6, 4), Config{
 			NumWorkers:      4,
 			Parallel:        true,
 			MaxSupersteps:   10,
 			CheckpointEvery: 2,
-			FailAtSuperstep: failAt,
+			Faults:          faults,
 			Columnar:        &ColumnarOps{Combine: colSumCombiner},
 			Pipelined:       true,
 			ChunkSize:       5,
@@ -232,11 +237,11 @@ func TestPipelinedRecoveryByteIdentical(t *testing.T) {
 		}
 		return append([]float32(nil), eng.Values()...), eng.Recoveries()
 	}
-	clean, rec0 := run(0)
+	clean, rec0 := run(nil)
 	if rec0 != 0 {
 		t.Fatal("clean run must not recover")
 	}
-	failed, rec1 := run(5) // fails one superstep past the step-4 checkpoint
+	failed, rec1 := run(crashBefore(5)) // fails one superstep past the step-4 checkpoint
 	if rec1 != 1 {
 		t.Fatalf("recoveries = %d, want 1", rec1)
 	}
@@ -246,7 +251,7 @@ func TestPipelinedRecoveryByteIdentical(t *testing.T) {
 		}
 	}
 	// The clean pipelined run must also match the clean BSP run bit for bit.
-	bspEng := NewEngine[float32, [3]float32](topo, newScratchSumProg(6, 4), Config[[3]float32]{
+	bspEng := NewEngine[float32](topo, newScratchSumProg(6, 4), Config{
 		NumWorkers: 4, MaxSupersteps: 10, Columnar: &ColumnarOps{Combine: colSumCombiner},
 	})
 	if err := bspEng.Run(); err != nil {
@@ -264,13 +269,13 @@ func TestPipelinedRecoveryByteIdentical(t *testing.T) {
 // failure-free result.
 func TestPipelinedBatchedRecovery(t *testing.T) {
 	topo := randomTopology(t, 70, 300, 21)
-	run := func(failAt int) ([]float32, int) {
-		eng := NewEngine[float32, [3]float32](topo, newBatchSumProg(6, 4), Config[[3]float32]{
+	run := func(faults *FaultPlan) ([]float32, int) {
+		eng := NewEngine[float32](topo, newBatchSumProg(6, 4), Config{
 			NumWorkers:      4,
 			Parallel:        true,
 			MaxSupersteps:   10,
 			CheckpointEvery: 2,
-			FailAtSuperstep: failAt,
+			Faults:          faults,
 			Columnar:        &ColumnarOps{Combine: colSumCombiner},
 			Batched:         true,
 			Pipelined:       true,
@@ -281,11 +286,11 @@ func TestPipelinedBatchedRecovery(t *testing.T) {
 		}
 		return append([]float32(nil), eng.Values()...), eng.Recoveries()
 	}
-	clean, rec0 := run(0)
+	clean, rec0 := run(nil)
 	if rec0 != 0 {
 		t.Fatal("clean run must not recover")
 	}
-	failed, rec1 := run(5)
+	failed, rec1 := run(crashBefore(5))
 	if rec1 != 1 {
 		t.Fatalf("recoveries = %d, want 1", rec1)
 	}
@@ -302,8 +307,8 @@ func TestPipelinedBatchedRecovery(t *testing.T) {
 // inbox payloads byte for byte from the snapshot's own storage.
 func TestCheckpointDeepCopiesArenas(t *testing.T) {
 	topo := randomTopology(t, 40, 200, 22)
-	eng := NewEngine[float32, [3]float32](topo, newScratchSumProg(6, 3), Config[[3]float32]{
-		NumWorkers: 3, MaxSupersteps: 10, Columnar: &ColumnarOps{},
+	eng := NewEngine[float32](topo, newScratchSumProg(6, 3), Config{
+		NumWorkers: 3, MaxSupersteps: 10,
 	})
 	eng.runSuperstep(0) // fills the inbox consumed by superstep 1
 	eng.takeCheckpoint(1)
