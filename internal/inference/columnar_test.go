@@ -124,3 +124,34 @@ func TestColumnarPlaneEdgeFeatures(t *testing.T) {
 		requireMatchesMapReduce(t, "edge-feature "+comboName(opts), m, ds.Graph, opts)
 	}
 }
+
+// TestColumnarEmbeddingsMatchMapReduce: the per-vertex plane's retained
+// penultimate rows must reproduce the MapReduce backend's embeddings —
+// exactly without partial-gather, to tolerance with it.
+func TestColumnarEmbeddingsMatchMapReduce(t *testing.T) {
+	g := testGraph(t, datagen.SkewIn, 150)
+	m := sageModel(t)
+	for _, pg := range []bool{false, true} {
+		opts := Options{NumWorkers: 5, PartialGather: pg, EmitEmbeddings: true}
+		mr, err := RunMapReduce(m, g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.PerVertexCompute = true
+		col, err := RunPregel(m, g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if col.Embeddings == nil || mr.Embeddings == nil {
+			t.Fatalf("pg=%v: embeddings not emitted", pg)
+		}
+		same := col.Embeddings.Equal(mr.Embeddings)
+		if pg {
+			same = col.Embeddings.AllClose(mr.Embeddings, logitTol)
+		}
+		if !same {
+			t.Fatalf("pg=%v: per-vertex embeddings diverge from MapReduce: max diff %v",
+				pg, col.Embeddings.MaxAbsDiff(mr.Embeddings))
+		}
+	}
+}
